@@ -210,8 +210,8 @@ def run_startup(args) -> int:
             )
             registry = ArenaRegistry()
             try:
-                g, forests = attach_gst(b, registry, 0)
-                gen = make_pair_generator(g, c, ranges=r, forests=forests)
+                g, forest = attach_gst(b, registry, 0)
+                gen = make_pair_generator(g, c, ranges=r, forest=forest)
                 make_aligner(g.collection, c)
                 return OnDemandPairGenerator(gen.pairs()).next_batch(c.batchsize)
             finally:

@@ -86,10 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vectorised alignment group size "
                         "(0 = per-pair reference engine)")
     c.add_argument("--pair-engine", choices=("scalar", "vector"),
-                   default="scalar",
-                   help="promising-pair generation engine: 'vector' runs "
-                        "the depth-batched numpy engine (identical pair "
-                        "stream, several times faster)")
+                   default="vector",
+                   help="promising-pair generation engine: 'vector' "
+                        "(default) runs the depth-batched numpy engine; "
+                        "'scalar' is the node-at-a-time reference oracle "
+                        "(identical pair stream, several times slower)")
     c.add_argument("--min-overlap", type=int, default=40)
     c.add_argument("--min-ratio", type=float, default=0.85, help="score/ideal acceptance")
     c.add_argument("--parallel", type=int, default=0, metavar="P",
@@ -262,8 +263,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "--causal-trace records ride the telemetry stream: add "
             "--telemetry-out FILE (or use --obs-out DIR)"
         )
-    records = read_fasta(args.fasta)
-    collection = EstCollection.from_records(records)
+    try:
+        records = read_fasta(args.fasta)
+        collection = EstCollection.from_records(records)
+    except ValueError as exc:
+        raise SystemExit(f"{args.fasta}: {exc}") from None
     config = ClusteringConfig(
         w=args.w,
         psi=args.psi,

@@ -44,11 +44,13 @@ class ClusteringConfig:
     #: reference engine.
     align_batch: int = 0
     #: Promising-pair generation engine over the suffix-array backend:
+    #: "vector" (:class:`repro.pairs.batch.VectorPairGenerator`, the
+    #: default: depth-batched numpy sweeps over flat lset arenas) or
     #: "scalar" (:class:`repro.pairs.sa_generator.SaPairGenerator`, the
-    #: reference) or "vector" (:class:`repro.pairs.batch.VectorPairGenerator`,
-    #: depth-batched numpy sweeps over flat lset arenas — identical pair
-    #: stream, several times faster).
-    pair_engine: str = "scalar"
+    #: node-at-a-time oracle the vector stream is tested against — same
+    #: pairs, same order, several times slower).  The tree backend has no
+    #: LCP forests, so it needs an explicit ``pair_engine="scalar"``.
+    pair_engine: str = "vector"
     scoring: ScoringParams = field(default_factory=ScoringParams)
     acceptance: AcceptanceCriteria = field(default_factory=AcceptanceCriteria)
     band_policy: BandPolicy = field(default_factory=BandPolicy)

@@ -50,7 +50,7 @@ from repro.pairs.sa_generator import (
 )
 from repro.sequence.alphabet import LAMBDA
 from repro.suffix.gst import SuffixArrayGst
-from repro.suffix.interval_tree import FlatForest
+from repro.suffix.interval_tree import FlatForest, ragged_ranges
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # circular at runtime: core.config -> align -> pairs
@@ -79,26 +79,6 @@ _ALLOWED = (
 _ZERO = np.zeros(1, dtype=np.int64)
 
 
-def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + l)`` per (start, length) pair.
-
-    The standard cumsum construction; zero-length segments contribute
-    nothing.  Both inputs must be int64 arrays of equal size.
-    """
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    nz = lens > 0
-    if not nz.all():
-        starts, lens = starts[nz], lens[nz]
-    ends = np.cumsum(lens)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    if lens.size > 1:
-        out[ends[:-1]] = starts[1:] - starts[:-1] - lens[:-1] + 1
-    return np.cumsum(out)
-
-
 class VectorPairGenerator:
     """Drop-in vectorised replacement for :class:`SaPairGenerator`.
 
@@ -116,11 +96,17 @@ class VectorPairGenerator:
         flushed when the stream finishes (matching the scalar engine) and
         every emitted chunk is observed into the ``pairs.block_size``
         histogram.
-    forests:
-        Pre-built :class:`FlatForest` list to use instead of rebuilding
-        from ``gst.lcp`` — the shared-memory path, where slaves attach to
-        forests the master packed once.  Must correspond to the non-empty
-        entries of ``ranges`` in order; ``min_depth`` must equal ``psi``.
+    forest:
+        Pre-built :class:`FlatForest` to use instead of building from
+        ``gst.lcp`` — the shared-memory path, where slaves attach to the
+        forest the master carved for them.  Must be the forest of
+        ``ranges`` (see :meth:`SuffixArrayGst.flat_forest`); ``min_depth``
+        must equal ``psi``.
+
+    Whatever the number of ``ranges``, the generator owns exactly one
+    forest: the per-range forests laid end to end, built in one pass.
+    The stream is the scalar engine's over the same ranges, since that
+    engine also walks its per-range forests in order.
     """
 
     def __init__(
@@ -131,7 +117,7 @@ class VectorPairGenerator:
         *,
         block_size: int = PAIR_BLOCK_SIZE,
         telemetry: Telemetry | None = None,
-        forests: list[FlatForest] | None = None,
+        forest: FlatForest | None = None,
     ) -> None:
         if psi < 1:
             raise ValueError(f"psi must be >= 1, got {psi}")
@@ -144,20 +130,17 @@ class VectorPairGenerator:
         self.stats = PairGenStats()
         self._telemetry = telemetry
         self._consumed = False
+        # A one-element list (empty when every range is empty): the
+        # attribute name and shape are shared with the scalar engine.
         self._forests: list[FlatForest] = []
-        if forests is not None:
-            for f in forests:
-                if f.min_depth != psi:
-                    raise ValueError(
-                        f"injected forest has min_depth={f.min_depth}, psi={psi}"
-                    )
-            self._forests = list(forests)
-        elif ranges is None:
-            self._forests.append(gst.flat_forest(min_depth=psi))
-        else:
-            for lo, hi in ranges:
-                if hi > lo:
-                    self._forests.append(gst.flat_forest(min_depth=psi, lo=lo, hi=hi))
+        if forest is not None:
+            if forest.min_depth != psi:
+                raise ValueError(
+                    f"injected forest has min_depth={forest.min_depth}, psi={psi}"
+                )
+            self._forests.append(forest)
+        elif ranges is None or any(hi > lo for lo, hi in ranges):
+            self._forests.append(gst.flat_forest(min_depth=psi, ranges=ranges))
 
     # ------------------------------------------------------------------ #
 
@@ -192,10 +175,10 @@ class VectorPairGenerator:
         gst = self.gst
         stats = self.stats
         tel = self._telemetry
-        forests = self._forests
-        n_nodes = sum(f.n_nodes for f in forests)
-        if n_nodes == 0:
+        if not self._forests or self._forests[0].n_nodes == 0:
             return
+        forest = self._forests[0]
+        n_nodes = forest.n_nodes
         n_strings = gst.collection.n_strings
         cls_codes = np.arange(N_CLASSES, dtype=np.int64)
 
@@ -205,34 +188,26 @@ class VectorPairGenerator:
         rank_offset = gst.pos_offset[sa].astype(np.int64)
         rank_leftchar = gst.left_char[sa].astype(np.int64)
 
-        # ---- global node + slot tables over all owned forests ----------
-        # Node ids are forest-major concatenation order; slots are the
-        # scalar engine's child/leaf interleave, one row per slot.
-        depth = np.concatenate([f.depth for f in forests]).astype(np.int64)
-        parent = np.empty(n_nodes, dtype=np.int64)
-        owner_parts, lb_parts, leaf_parts, ref_parts = [], [], [], []
-        off = 0
-        for f in forests:
-            n = f.n_nodes
-            parent[off : off + n] = np.where(f.parent >= 0, f.parent + off, -1)
-            cf, co = f.children_flat, f.children_offsets
-            lf, lo_ = f.leaves_flat, f.leaves_offsets
-            owner_parts.append(np.repeat(np.arange(n), np.diff(co)) + off)
-            owner_parts.append(np.repeat(np.arange(n), np.diff(lo_)) + off)
-            lb_parts.append(f.lb[cf])
-            lb_parts.append(lf)
-            leaf_parts.append(np.zeros(cf.size, dtype=bool))
-            leaf_parts.append(np.ones(lf.size, dtype=bool))
-            ref_parts.append(cf + off)
-            ref_parts.append(lf)
-            off += n
-        slot_owner = np.concatenate(owner_parts)
-        slot_lb = np.concatenate(lb_parts).astype(np.int64)
-        slot_is_leaf = np.concatenate(leaf_parts)
-        slot_ref = np.concatenate(ref_parts).astype(np.int64)
+        # ---- node + slot tables ------------------------------------------
+        # Slots are the scalar engine's child/leaf interleave, one row per
+        # slot: a child slot sorts by its interval's lb, a leaf by its rank.
+        depth = forest.depth.astype(np.int64)
+        parent = forest.parent
+        cf, co = forest.children_flat, forest.children_offsets
+        lf, lo_ = forest.leaves_flat, forest.leaves_offsets
+        nodes = np.arange(n_nodes)
+        slot_owner = np.concatenate(
+            (np.repeat(nodes, np.diff(co)), np.repeat(nodes, np.diff(lo_)))
+        )
+        slot_lb = np.concatenate((forest.lb[cf], lf)).astype(np.int64)
+        slot_is_leaf = np.concatenate(
+            (np.zeros(cf.size, dtype=bool), np.ones(lf.size, dtype=bool))
+        )
+        slot_ref = np.concatenate((cf, lf)).astype(np.int64)
 
-        # Processing order: decreasing depth, stable on (forest, node) —
-        # bit-identical to the scalar engine's sorted (-depth, f, nid).
+        # Processing order: decreasing depth, stable on node id — with the
+        # per-range forests laid end to end, bit-identical to the scalar
+        # engine's sorted (-depth, f, nid).
         proc = np.argsort(-depth, kind="stable")
         pos_of = np.empty(n_nodes, dtype=np.int64)
         pos_of[proc] = np.arange(n_nodes)
@@ -290,8 +265,8 @@ class VectorPairGenerator:
             if child.any():
                 clen = slot_len[child]
                 cref = b_ref[child]
-                cpos = _ragged_ranges(slot_off[child], clen)
-                ranks[cpos] = arena[_ragged_ranges(seg_start[cref], clen)]
+                cpos = ragged_ranges(slot_off[child], clen)
+                ranks[cpos] = arena[ragged_ranges(seg_start[cref], clen)]
                 # Stored segments are class-sorted; expand their per-class
                 # counts back into entry classes.
                 cls[cpos] = np.repeat(
@@ -366,7 +341,7 @@ class VectorPairGenerator:
             if raw:
                 block_lens = lens.ravel()
                 i_side = np.repeat(np.arange(m), lens.sum(axis=1))
-                within = _ragged_ranges(
+                within = ragged_ranges(
                     np.zeros(block_lens.size, dtype=np.int64), block_lens
                 )
                 j_side = csr[np.repeat(goff[qgid.ravel()], block_lens) + within]
@@ -427,18 +402,18 @@ def make_pair_generator(
     *,
     ranges: list[tuple[int, int]] | None = None,
     telemetry: Telemetry | None = None,
-    forests: list[FlatForest] | None = None,
+    forest: FlatForest | None = None,
 ) -> SaPairGenerator | VectorPairGenerator:
     """Engine selection for suffix-array pair generation.
 
     Mirrors :func:`repro.align.batch.make_aligner`: ``config.pair_engine``
     picks the scalar reference engine or the vectorised one; both yield
-    identical pair streams.  ``forests`` (vector engine only) injects
-    pre-built flat forests — e.g. shared-memory views — in place of a
-    local rebuild.
+    identical pair streams.  ``forest`` (vector engine only) injects a
+    pre-built flat forest — e.g. shared-memory views — in place of a
+    local build.
     """
     if config.pair_engine == "vector":
         return VectorPairGenerator(
-            gst, psi=config.psi, ranges=ranges, telemetry=telemetry, forests=forests
+            gst, psi=config.psi, ranges=ranges, telemetry=telemetry, forest=forest
         )
     return SaPairGenerator(gst, psi=config.psi, ranges=ranges, telemetry=telemetry)

@@ -5,16 +5,17 @@
 array — the int8 sequence arena and offsets, the suffix-array text, the
 suffix array itself, the LCP array and the per-position lookup tables —
 into named shared-memory segments (one :class:`~repro.parallel.shm
-.ArenaRegistry` owns them all), and for the vector pair engine also packs
-each slave's per-bucket-range :class:`~repro.suffix.interval_tree
-.FlatForest` set into a handful of concatenated arrays
-(:func:`~repro.suffix.interval_tree.concat_flat_forests`).
+.ArenaRegistry` owns them all).  For the vector pair engine it also builds
+the whole-array :class:`~repro.suffix.interval_tree.FlatForest` once and
+publishes each slave's share of it
+(:func:`~repro.suffix.interval_tree.restrict_flat_forest`) as the eight
+arrays of one forest.
 
 What crosses the process boundary is a :class:`GstBundle`: descriptors
 only, a few hundred bytes regardless of dataset size.  A slave calls
 :func:`attach_gst` with its own registry and gets back a fully functional
 ``SuffixArrayGst`` whose arrays are read-only views of the master's pages
-— plus its pre-built forests for the vector engine, so the slave skips
+— plus its pre-built forest for the vector engine, so the slave skips
 forest construction entirely.  The scalar engine rebuilds its list-based
 ``LcpForest`` locally from the shared LCP view (its per-node Python lists
 cannot live in a segment), which still removes every O(N) pickle.
@@ -26,18 +27,14 @@ construction artefacts and are deliberately not shared; the attached
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.parallel.shm import ArenaDescriptor, ArenaRegistry
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
-from repro.suffix.interval_tree import (
-    FlatForest,
-    concat_flat_forests,
-    split_flat_forests,
-)
+from repro.suffix.interval_tree import FlatForest, restrict_flat_forest
 from repro.suffix.suffix_array import SuffixArray
 
 __all__ = ["GstBundle", "GstArenas", "SharedForestSet", "attach_gst"]
@@ -55,13 +52,16 @@ _GST_FIELDS = (
     "suffix_len",
 )
 
+#: The array fields of a :class:`FlatForest`, one segment each.
+_FOREST_FIELDS = tuple(f.name for f in fields(FlatForest) if f.name != "min_depth")
+
 
 @dataclass(frozen=True)
 class SharedForestSet:
-    """Descriptors for one slave's packed flat-forest arrays.
+    """Descriptors for one slave's flat forest, one per array field.
 
-    ``arrays`` keys match :func:`concat_flat_forests` output; ``min_depth``
-    is the ψ the forests were built with (checked against the consumer's
+    ``arrays`` is keyed by :class:`FlatForest` field name; ``min_depth``
+    is the ψ the forest was built with (checked against the consumer's
     psi on attach).
     """
 
@@ -77,8 +77,8 @@ class SharedForestSet:
 class GstBundle:
     """The picklable spawn payload: descriptors, never data.
 
-    ``forest_sets[k]`` is slave ``k``'s packed forests (vector engine) or
-    ``None`` (scalar engine rebuilds forests from the shared LCP view).
+    ``forest_sets[k]`` is slave ``k``'s forest (vector engine) or ``None``
+    (scalar engine rebuilds forests from the shared LCP view).
     """
 
     n_ests: int
@@ -99,17 +99,17 @@ class GstArenas:
     """Master-side ownership of a run's shared segments.
 
     Create with :meth:`create`; ``bundle`` is what spawn arguments carry;
-    ``forests_for`` hands the *master* zero-copy forests for the degraded
+    ``forest_for`` hands the *master* a slave's forest for the degraded
     reabsorb path; ``dispose`` unlinks everything (idempotent — safe from
     ``finally`` blocks and fault paths alike).
     """
 
     registry: ArenaRegistry
     bundle: GstBundle
-    #: Master-local packed forest arrays per slave (vector engine only) —
-    #: kept so reabsorption after a dead slave reuses the already-built
-    #: forests instead of rebuilding from the LCP array.
-    _packed: list[dict[str, np.ndarray] | None] = field(default_factory=list)
+    #: Master-local forest per slave (vector engine only) — kept so
+    #: reabsorption after a dead slave reuses the already-built forest
+    #: instead of rebuilding from the LCP array.
+    _forests: list[FlatForest | None] = field(default_factory=list)
 
     @classmethod
     def create(
@@ -121,6 +121,11 @@ class GstArenas:
         psi: int,
     ) -> "GstArenas":
         """Publish ``gst`` (and per-slave forests for the vector engine).
+
+        The vector engine's forests come from one whole-array build,
+        restricted to each slave's bucket ranges: exact because no node
+        of depth ≥ ψ ≥ w crosses a bucket boundary, and far cheaper than
+        one build per bucket.
 
         If any segment creation fails partway, everything already created
         is unlinked before the error propagates — a failed publish leaves
@@ -137,29 +142,21 @@ class GstArenas:
                 arrays[name] = registry.create(getattr(gst, name), name)
             arrays["sa"] = registry.create(gst.sa_struct.sa, "sa")
 
-            packed: list[dict[str, np.ndarray] | None] = []
-            forest_sets: list[SharedForestSet | None] = []
-            for k, ranges in enumerate(ranges_of):
-                if pair_engine != "vector":
-                    packed.append(None)
-                    forest_sets.append(None)
-                    continue
-                forests = [
-                    gst.flat_forest(min_depth=psi, lo=lo, hi=hi)
-                    for lo, hi in ranges
-                    if hi > lo
-                ]
-                pack = concat_flat_forests(forests)
-                packed.append(pack)
-                forest_sets.append(
-                    SharedForestSet(
+            forests: list[FlatForest | None] = [None] * len(ranges_of)
+            forest_sets: list[SharedForestSet | None] = [None] * len(ranges_of)
+            if pair_engine == "vector":
+                whole = gst.flat_forest(min_depth=psi)
+                for k, ranges in enumerate(ranges_of):
+                    forests[k] = restrict_flat_forest(whole, ranges)
+                    forest_sets[k] = SharedForestSet(
                         arrays={
-                            fname: registry.create(arr, f"f{k}{fname[:6]}")
-                            for fname, arr in pack.items()
+                            name: registry.create(
+                                getattr(forests[k], name), f"f{k}{name[:6]}"
+                            )
+                            for name in _FOREST_FIELDS
                         },
                         min_depth=psi,
                     )
-                )
             bundle = GstBundle(
                 n_ests=gst.collection.n_ests,
                 arrays=arrays,
@@ -169,15 +166,12 @@ class GstArenas:
         except BaseException:
             registry.dispose()
             raise
-        return cls(registry=registry, bundle=bundle, _packed=packed)
+        return cls(registry=registry, bundle=bundle, _forests=forests)
 
-    def forests_for(self, slave_id: int) -> list[FlatForest] | None:
-        """Zero-copy forests of slave ``slave_id`` for master-side reuse
-        (the degraded reabsorb path); ``None`` for the scalar engine."""
-        pack = self._packed[slave_id]
-        if pack is None:
-            return None
-        return split_flat_forests(pack, self.bundle.psi)
+    def forest_for(self, slave_id: int) -> FlatForest | None:
+        """The forest of slave ``slave_id`` for master-side reuse (the
+        degraded reabsorb path); ``None`` for the scalar engine."""
+        return self._forests[slave_id]
 
     def dispose(self) -> None:
         """Unlink every segment (idempotent)."""
@@ -186,11 +180,11 @@ class GstArenas:
 
 def attach_gst(
     bundle: GstBundle, registry: ArenaRegistry, slave_id: int
-) -> tuple[SuffixArrayGst, list[FlatForest] | None]:
+) -> tuple[SuffixArrayGst, FlatForest | None]:
     """Reconstruct a slave's view of the published GST.
 
     Every array in the returned ``SuffixArrayGst`` (and every field of the
-    returned forests, when present) is a read-only view of shared memory;
+    returned forest, when present) is a read-only view of shared memory;
     nothing is copied.  The caller's ``registry`` tracks the attachments
     and must be closed when the slave is done.
     """
@@ -216,7 +210,5 @@ def attach_gst(
     fs = bundle.forest_sets[slave_id]
     if fs is None:
         return gst, None
-    forest_arrays = {
-        name: registry.attach(desc) for name, desc in fs.arrays.items()
-    }
-    return gst, split_flat_forests(forest_arrays, fs.min_depth)
+    arrays = {name: registry.attach(desc) for name, desc in fs.arrays.items()}
+    return gst, FlatForest(**arrays, min_depth=fs.min_depth)

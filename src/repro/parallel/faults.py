@@ -239,7 +239,7 @@ def reabsorb_ranges(
     ranges: list[tuple[int, int]],
     batch: int = 4096,
     engine: str = "scalar",
-    forests=None,
+    forest=None,
     now: float | None = None,
 ) -> tuple[int, int]:
     """Regenerate a lost slave's promising pairs inside the master.
@@ -248,13 +248,13 @@ def reabsorb_ranges(
     every pair the dead slave could ever have offered; admission filters
     out pairs whose ESTs already share a cluster.  ``engine`` selects the
     same pair-generation engine the lost slave was running (both produce
-    identical streams, so this only affects recovery speed).  ``forests``
-    (vector engine only) reuses already-built flat forests — e.g. the
-    master's shared-arena copies — instead of rebuilding from the LCP
+    identical streams, so this only affects recovery speed).  ``forest``
+    (vector engine only) reuses an already-built flat forest — e.g. the
+    master's shared-arena copy — instead of rebuilding from the LCP
     array.  Returns ``(produced, admitted)``.
     """
     if engine == "vector":
-        gen = VectorPairGenerator(gst, psi=psi, ranges=ranges, forests=forests)
+        gen = VectorPairGenerator(gst, psi=psi, ranges=ranges, forest=forest)
     else:
         gen = SaPairGenerator(gst, psi=psi, ranges=ranges)
     source = OnDemandPairGenerator(gen.pairs())

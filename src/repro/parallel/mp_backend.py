@@ -186,16 +186,16 @@ def _slave_worker(
     try:
         if isinstance(source, GstBundle):
             registry = ArenaRegistry()
-            gst, forests = attach_gst(source, registry, slave_id)
+            gst, forest = attach_gst(source, registry, slave_id)
         else:
-            gst, forests = source, None
+            gst, forest = source, None
         if tel is not None:
             with tel.span("sort_nodes", actor=actor):
                 generator = make_pair_generator(
-                    gst, config, ranges=ranges, telemetry=tel, forests=forests
+                    gst, config, ranges=ranges, telemetry=tel, forest=forest
                 )
         else:
-            generator = make_pair_generator(gst, config, ranges=ranges, forests=forests)
+            generator = make_pair_generator(gst, config, ranges=ranges, forest=forest)
         aligner = make_aligner(gst.collection, config, telemetry=tel)
         logic = SlaveLogic(
             slave_id=slave_id,
@@ -695,9 +695,9 @@ def cluster_multiprocessing(
                 psi=config.psi,
                 ranges=ranges_of[slave_id],
                 engine=config.pair_engine,
-                # Reuse the already-packed shared forests instead of
-                # rebuilding the lost slave's forests from the LCP array.
-                forests=shared.forests_for(slave_id) if shared is not None else None,
+                # Reuse the already-built shared forest instead of
+                # rebuilding the lost slave's forest from the LCP array.
+                forest=shared.forest_for(slave_id) if shared is not None else None,
                 now=tel.now() if clocked else None,
             )
             local_generated += produced

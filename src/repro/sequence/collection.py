@@ -82,9 +82,19 @@ class EstCollection:
 
     @classmethod
     def from_records(cls, records: Iterable[FastaRecord]) -> "EstCollection":
-        """Build from FASTA records, keeping their names."""
+        """Build from FASTA records, keeping their names.
+
+        A record with a character outside ACGT (``N`` and the other IUPAC
+        ambiguity codes included) raises ``ValueError`` naming the record.
+        """
         records = list(records)
-        return cls.from_strings([r.sequence for r in records], [r.name for r in records])
+        codes = []
+        for r in records:
+            try:
+                codes.append(encode(r.sequence))
+            except ValueError as exc:
+                raise ValueError(f"record {r.name!r}: {exc}") from None
+        return cls(codes, [r.name for r in records])
 
     @classmethod
     def from_arena(

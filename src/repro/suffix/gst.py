@@ -104,11 +104,13 @@ class SuffixArrayGst:
         return build_lcp_forest(self.lcp, min_depth=min_depth, lo=lo, hi=hi)
 
     def flat_forest(
-        self, min_depth: int, lo: int = 0, hi: int | None = None
+        self, min_depth: int, ranges: list[tuple[int, int]] | None = None
     ) -> FlatForest:
-        """Same forest as :meth:`forest`, built vectorised into flat CSR
-        arrays — the input form of the vectorised pair engine."""
-        return build_flat_forest(self.lcp, min_depth=min_depth, lo=lo, hi=hi)
+        """The concatenated :meth:`forest` of every rank range in
+        ``ranges`` (the full array by default), built in one vectorised
+        pass into flat CSR arrays — the input form of the vectorised pair
+        engine."""
+        return build_flat_forest(self.lcp, min_depth=min_depth, ranges=ranges)
 
     def bucket_ranges(self, w: int) -> list[tuple[int, int, int]]:
         """``(key, lo, hi)`` suffix-array ranges of the ``w``-prefix buckets

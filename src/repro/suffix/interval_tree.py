@@ -15,11 +15,13 @@ never emitted, so their children become forest roots and their lsets are
 implicitly discarded — which is precisely the paper's behaviour at the
 threshold boundary.
 
-The builder also accepts a rank sub-range ``[lo, hi)``, which is how each
-(simulated or real) slave processor builds the forest for only the suffix
-buckets it owns: a bucket keyed on the first ``w`` characters is a
-contiguous suffix-array range, and with ψ ≥ w every qualifying node lies
-entirely inside one bucket.
+The builders also accept rank sub-ranges, which is how each (simulated or
+real) slave processor builds the forest for only the suffix buckets it
+owns: a bucket keyed on the first ``w`` characters is a contiguous
+suffix-array range, and with ψ ≥ w every qualifying node lies entirely
+inside one bucket.  The flat builder takes all of a slave's ranges in one
+call, and :func:`restrict_flat_forest` carves a slave's share out of an
+already built whole-array forest.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ __all__ = [
     "FlatForest",
     "build_lcp_forest",
     "build_flat_forest",
-    "concat_flat_forests",
-    "split_flat_forests",
+    "restrict_flat_forest",
+    "ragged_ranges",
 ]
 
 
@@ -259,12 +261,31 @@ class FlatForest:
         )
 
 
+def ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` per (start, length) pair.
+
+    The standard cumsum construction; zero-length segments contribute
+    nothing.  Both inputs must be int64 arrays of equal size.
+    """
+    total = int(lens.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    nz = lens > 0
+    if not nz.all():
+        starts, lens = starts[nz], lens[nz]
+    ends = np.cumsum(lens)
+    out = np.ones(total, dtype=np.int64)
+    out[0] = starts[0]
+    if lens.size > 1:
+        out[ends[:-1]] = starts[1:] - starts[:-1] - lens[:-1] + 1
+    return np.cumsum(out)
+
+
 def build_flat_forest(
     lcp: np.ndarray,
     *,
     min_depth: int,
-    lo: int = 0,
-    hi: int | None = None,
+    ranges: list[tuple[int, int]] | None = None,
 ) -> FlatForest:
     """Vectorised equivalent of :func:`build_lcp_forest`.
 
@@ -290,25 +311,39 @@ def build_flat_forest(
     emission (pop) order is recovered as a sort by ``(rb, -depth)``:
     intervals are popped when the scan first passes their right bound,
     deepest first.
+
+    ``ranges`` (default: the whole array) restricts the forest to a list
+    of rank ranges ``[lo, hi)``.  They are laid end to end with a break
+    between neighbours, so the result is exactly the concatenation of the
+    per-range forests (nodes range-major, each range in emission order)
+    from one build, whatever the number of ranges.
     """
     if min_depth < 1:
         raise ValueError(f"min_depth must be >= 1, got {min_depth}")
     lcp = np.asarray(lcp)
-    if hi is None:
-        hi = len(lcp)
-    if not 0 <= lo <= hi <= len(lcp):
+    bounds = np.asarray(
+        [(0, len(lcp))] if ranges is None else ranges, dtype=np.int64
+    ).reshape(-1, 2)
+    bad = (bounds[:, 0] < 0) | (bounds[:, 1] < bounds[:, 0]) | (bounds[:, 1] > len(lcp))
+    if bad.any():
+        lo, hi = bounds[np.argmax(bad)]
         raise ValueError(f"invalid range [{lo}, {hi}) for lcp of length {len(lcp)}")
-    n = hi - lo
+    lens = bounds[:, 1] - bounds[:, 0]
+    n = int(lens.sum())
     if n <= 0:
         raise ValueError("empty suffix-array range")
+    rank = ragged_ranges(bounds[:, 0], lens)  # local position -> global rank
 
-    # Boundary values: position p in (0, n) separates ranks lo+p-1 and
-    # lo+p; the range edges are depth "-1" sentinels (strictly smaller
-    # than any real LCP), which is what makes every jump chain terminate.
+    # Boundary values: position p in (0, n) separates local ranks p-1 and
+    # p; the edges are depth "-1" sentinels (strictly smaller than any
+    # real LCP), which is what makes every jump chain terminate.  A
+    # junction between two ranges reads 0, below every threshold, so no
+    # qualifying interval, parent link or leaf ever spans it.
     val = np.empty(n + 1, dtype=np.int64)
     val[0] = val[n] = -1
     if n > 1:
-        val[1:n] = lcp[lo + 1 : lo + n]
+        val[1:n] = lcp[rank[1:]]
+        val[np.cumsum(lens[lens > 0])[:-1]] = 0
 
     # PSV/NSV by pointer doubling: each round follows the current pointer
     # of the pointed-to position, so unresolved chain lengths double.
@@ -334,14 +369,14 @@ def build_flat_forest(
     ukey, first = np.unique(key, return_index=True)
     m = ukey.size
     depth_u = val[qual[first]]
-    lb_u = lo + ukey // (n + 1)
-    rb_u = lo + ukey % (n + 1) - 1
+    lb_u = ukey // (n + 1)
+    rb_u = ukey % (n + 1) - 1
     order = np.lexsort((-depth_u, rb_u))  # the stack builder's pop order
     rank_of = np.empty(m, dtype=np.int64)
     rank_of[order] = np.arange(m)
     depth = depth_u[order]
-    lb = lb_u[order]
-    rb = rb_u[order]
+    lb = rank[lb_u[order]]
+    rb = rank[rb_u[order]]
 
     # Parent: the interval of the deeper bounding position, when it
     # still clears the threshold; forest roots otherwise.
@@ -375,7 +410,7 @@ def build_flat_forest(
     attached = np.flatnonzero(np.maximum(dl, dr) >= min_depth)
     ql = np.where(dl[attached] >= dr[attached], attached, attached + 1)
     owner = rank_of[np.searchsorted(ukey, prev[ql] * (n + 1) + nxt[ql])]
-    leaves_flat = attached[np.argsort(owner, kind="stable")] + lo
+    leaves_flat = rank[attached[np.argsort(owner, kind="stable")]]
     leaves_offsets = np.concatenate(
         (zero, np.cumsum(np.bincount(owner, minlength=m)))
     )
@@ -393,97 +428,58 @@ def build_flat_forest(
     )
 
 
-#: Array fields of :class:`FlatForest` in packing order; the offsets
-#: arrays (``*_offsets``) need the per-forest +1 entry accounted for when
-#: packing/unpacking (each forest contributes ``n_nodes + 1`` entries).
-_PACK_FIELDS = (
-    "depth",
-    "lb",
-    "rb",
-    "parent",
-    "children_flat",
-    "children_offsets",
-    "leaves_flat",
-    "leaves_offsets",
-)
+def restrict_flat_forest(
+    forest: FlatForest, ranges: list[tuple[int, int]]
+) -> FlatForest:
+    """The part of a whole-array forest that lies inside rank ``ranges``.
 
+    Keeps the nodes whose ``[lb, rb]`` falls in one of the ranges and
+    renumbers them densely, range-major — node for node the forest
+    ``build_flat_forest(lcp, min_depth=..., ranges=ranges)`` would build.
+    That holds because no node may straddle a range edge (checked): for
+    w-prefix bucket ranges and ``min_depth >= w`` every qualifying
+    interval lies inside one bucket.  This lets a master build the
+    whole-array forest once and carve every slave's share out of it.
 
-def concat_flat_forests(forests: list[FlatForest]) -> dict[str, np.ndarray]:
-    """Pack several :class:`FlatForest` instances into one set of flat arrays.
-
-    This is the shape a forest set takes inside a shared-memory segment:
-    every field concatenated across forests, plus three bounds arrays
-    recording where each forest starts — ``node_bounds`` (cumulative node
-    counts, length ``n_forests + 1``) and ``cflat_bounds`` /
-    ``lflat_bounds`` (cumulative CSR value counts).  All ids stay
-    forest-local, so :func:`split_flat_forests` can rebuild each forest as
-    pure zero-copy slices of the packed arrays.
+    ``forest`` must come from :func:`build_flat_forest` over the whole
+    array (emission order, so ``rb`` is non-decreasing).
     """
-    zero = np.zeros(1, dtype=np.int64)
-    node_counts = np.fromiter(
-        (f.n_nodes for f in forests), dtype=np.int64, count=len(forests)
+    bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+    edges = np.unique(bounds)
+    # Edge e cuts node [lb, rb] when lb < e <= rb.
+    cut = np.searchsorted(edges, forest.lb, "right") != np.searchsorted(
+        edges, forest.rb, "right"
     )
-    out: dict[str, np.ndarray] = {
-        "node_bounds": np.concatenate((zero, np.cumsum(node_counts))),
-        "cflat_bounds": np.concatenate(
-            (zero, np.cumsum([len(f.children_flat) for f in forests]))
-        ).astype(np.int64),
-        "lflat_bounds": np.concatenate(
-            (zero, np.cumsum([len(f.leaves_flat) for f in forests]))
-        ).astype(np.int64),
-    }
-    for field_name in _PACK_FIELDS:
-        parts = [np.asarray(getattr(f, field_name)) for f in forests]
-        out[field_name] = (
-            np.concatenate(parts)
-            if parts
-            else np.empty(0, dtype=np.int64)
+    if cut.any():
+        v = int(np.argmax(cut))
+        raise ValueError(
+            f"node [{forest.lb[v]}, {forest.rb[v]}] of depth {forest.depth[v]} "
+            f"straddles a range edge"
         )
-    return out
+    starts = np.searchsorted(forest.rb, bounds[:, 0])
+    keep = ragged_ranges(starts, np.searchsorted(forest.rb, bounds[:, 1]) - starts)
+    new_id = np.full(forest.n_nodes, -1, dtype=np.int64)
+    new_id[keep] = np.arange(keep.size)
 
+    def gather(flat: np.ndarray, offsets: np.ndarray):
+        counts = offsets[keep + 1] - offsets[keep]
+        picked = flat[ragged_ranges(offsets[keep], counts)]
+        return picked, np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
 
-def split_flat_forests(
-    arrays: dict[str, np.ndarray], min_depth: int
-) -> list[FlatForest]:
-    """Rebuild the individual forests packed by :func:`concat_flat_forests`.
-
-    Every field of every returned forest is a slice (view) of the packed
-    arrays — no copies, which is the whole point: when ``arrays`` are
-    shared-memory views, the reconstructed forests read the master's pages
-    directly.
-
-    The only subtlety is the offsets arrays: forest ``f`` with nodes
-    ``[node_bounds[f], node_bounds[f+1])`` owns ``n_nodes + 1`` offset
-    entries, so its slice is shifted by ``f`` extra sentinel entries —
-    ``[node_bounds[f] + f, node_bounds[f+1] + f + 1)`` — and rebased to
-    start at its own ``cflat``/``lflat`` origin.
-    """
-    nb = arrays["node_bounds"]
-    cb = arrays["cflat_bounds"]
-    lb_bounds = arrays["lflat_bounds"]
-    forests: list[FlatForest] = []
-    for f in range(len(nb) - 1):
-        n0, n1 = int(nb[f]), int(nb[f + 1])
-        c0, c1 = int(cb[f]), int(cb[f + 1])
-        l0, l1 = int(lb_bounds[f]), int(lb_bounds[f + 1])
-        coff = arrays["children_offsets"][n0 + f : n1 + f + 1]
-        loff = arrays["leaves_offsets"][n0 + f : n1 + f + 1]
-        # Offsets in the packed arrays are forest-local already (ids were
-        # never rebased), so the slices are usable as-is.
-        forests.append(
-            FlatForest(
-                depth=arrays["depth"][n0:n1],
-                lb=arrays["lb"][n0:n1],
-                rb=arrays["rb"][n0:n1],
-                parent=arrays["parent"][n0:n1],
-                children_flat=arrays["children_flat"][c0:c1],
-                children_offsets=coff,
-                leaves_flat=arrays["leaves_flat"][l0:l1],
-                leaves_offsets=loff,
-                min_depth=min_depth,
-            )
-        )
-    return forests
+    children_flat, children_offsets = gather(forest.children_flat, forest.children_offsets)
+    leaves_flat, leaves_offsets = gather(forest.leaves_flat, forest.leaves_offsets)
+    parent = forest.parent[keep]
+    return FlatForest(
+        depth=forest.depth[keep],
+        lb=forest.lb[keep],
+        rb=forest.rb[keep],
+        parent=np.where(parent >= 0, new_id[parent], -1),
+        children_flat=new_id[children_flat],
+        children_offsets=children_offsets,
+        leaves_flat=leaves_flat,
+        leaves_offsets=leaves_offsets,
+        min_depth=forest.min_depth,
+    )
 
 
 def build_lcp_forest(

@@ -1,7 +1,13 @@
 """Tests for the pace-est command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -103,6 +109,22 @@ class TestClusterCommand:
         ]
         assert main(argv) == 0
         assert out_seq.read_text() == out_par.read_text()
+
+    def test_ambiguity_code_is_a_one_line_error(self, tmp_path):
+        fa = tmp_path / "n.fa"
+        fa.write_text(">ok\nACGTACGTACGT\n>est_n7\nACGTNACGTACG\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cluster", str(fa)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"{fa}: record 'est_n7': invalid DNA character 'N' in sequence"
+        ]
 
 
 class TestEvaluate:

@@ -63,7 +63,7 @@ class TestPipeline:
 
     def test_tree_backend_equivalent_partition(self, clean_benchmark):
         cfg_sa = ClusteringConfig.small_reads()
-        cfg_tree = ClusteringConfig.small_reads(backend="tree")
+        cfg_tree = ClusteringConfig.small_reads(backend="tree", pair_engine="scalar")
         a = PaceClusterer(cfg_sa).cluster(clean_benchmark.collection)
         b = PaceClusterer(cfg_tree).cluster(clean_benchmark.collection)
         # Same pair set + order-independent merging => identical partitions

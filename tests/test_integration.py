@@ -39,14 +39,20 @@ class TestOrderIndependence:
 
 class TestEngineParity:
     def test_all_four_engines_agree(self, small_benchmark, small_config):
+        # The default (vector) pair engine on every driver, against the
+        # scalar and tree-backend oracles.
+        assert small_config.pair_engine == "vector"
         col = small_benchmark.collection
         seq_sa = PaceClusterer(small_config).cluster(col).clusters
+        seq_scalar = PaceClusterer(
+            replace(small_config, pair_engine="scalar")
+        ).cluster(col).clusters
         seq_tree = PaceClusterer(
-            ClusteringConfig.small_reads(backend="tree")
+            ClusteringConfig.small_reads(backend="tree", pair_engine="scalar")
         ).cluster(col).clusters
         sim = simulate_clustering(col, small_config, n_processors=5).result.clusters
         mp = cluster_multiprocessing(col, small_config, n_processors=3).clusters
-        assert seq_sa == seq_tree == sim == mp
+        assert seq_scalar == seq_sa == seq_tree == sim == mp
 
     @pytest.mark.parametrize("align_batch", [0, 48])
     def test_batched_and_per_pair_cluster_output_identical(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sequence import EstCollection
 from repro.suffix import build_flat_forest, build_lcp_forest, build_suffix_array
+from repro.suffix.interval_tree import restrict_flat_forest
 from repro.suffix.lcp import lcp_array
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
@@ -190,16 +191,118 @@ class TestFlatBuilder:
         hi = data.draw(st.integers(lo + 1, len(lcp)))
         self._assert_same(
             build_lcp_forest(lcp, min_depth=2, lo=lo, hi=hi),
-            build_flat_forest(lcp, min_depth=2, lo=lo, hi=hi),
+            build_flat_forest(lcp, min_depth=2, ranges=[(lo, hi)]),
         )
+
+    @given(dna_lists, st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_many_ranges_build_the_concatenated_forest(self, seqs, min_depth, data):
+        """One build over several ranges (in any order, cut anywhere) is
+        the per-range stack forests laid end to end, ids shifted."""
+        text, _ = EstCollection.from_strings(seqs).sa_text()
+        lcp = lcp_array(build_suffix_array(text))
+        cuts = data.draw(st.lists(st.integers(0, len(lcp)), max_size=5))
+        bounds = sorted({0, len(lcp), *cuts})
+        ranges = data.draw(st.permutations(list(zip(bounds[:-1], bounds[1:]))))
+        expected = _concat(
+            [build_lcp_forest(lcp, min_depth=min_depth, lo=lo, hi=hi) for lo, hi in ranges]
+        )
+        got = build_flat_forest(lcp, min_depth=min_depth, ranges=ranges)
+        for name, want in expected.items():
+            assert np.array_equal(getattr(got, name), want), name
+        got.validate()
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError, match="min_depth"):
             build_flat_forest(np.zeros(4, dtype=np.int64), min_depth=0)
         with pytest.raises(ValueError, match="invalid range"):
-            build_flat_forest(np.zeros(4, dtype=np.int64), min_depth=1, lo=3, hi=9)
+            build_flat_forest(
+                np.zeros(4, dtype=np.int64), min_depth=1, ranges=[(3, 9)]
+            )
         with pytest.raises(ValueError, match="empty"):
-            build_flat_forest(np.zeros(4, dtype=np.int64), min_depth=1, lo=2, hi=2)
+            build_flat_forest(
+                np.zeros(4, dtype=np.int64), min_depth=1, ranges=[(2, 2)]
+            )
+
+
+def _concat(forests) -> dict[str, np.ndarray]:
+    """Forest arrays of ``forests`` laid end to end (node ids shifted)."""
+    out = {name: [] for name in _FIELDS}
+    nodes = children = leaves = 0
+    for f in forests:
+        out["depth"].append(f.depth)
+        out["lb"].append(f.lb)
+        out["rb"].append(f.rb)
+        out["parent"].append(np.where(f.parent >= 0, f.parent + nodes, -1))
+        out["children_flat"].append(np.asarray(f.children_flat) + nodes)
+        out["leaves_flat"].append(np.asarray(f.leaves_flat))
+        out["children_offsets"].append(np.asarray(f.children_offsets)[:-1] + children)
+        out["leaves_offsets"].append(np.asarray(f.leaves_offsets)[:-1] + leaves)
+        nodes += f.n_nodes
+        children += len(f.children_flat)
+        leaves += len(f.leaves_flat)
+    out["children_offsets"].append([children])
+    out["leaves_offsets"].append([leaves])
+    return {
+        name: np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+        if parts else np.zeros(0, dtype=np.int64)
+        for name, parts in out.items()
+    }
+
+
+_FIELDS = (
+    "depth", "lb", "rb", "parent",
+    "children_flat", "children_offsets", "leaves_flat", "leaves_offsets",
+)
+
+
+class TestRestriction:
+    """`restrict_flat_forest` carves a range set out of the whole-array
+    forest; over bucket ranges it must equal building those ranges."""
+
+    @staticmethod
+    def _gst(seed: int):
+        from repro.simulate import BenchmarkParams, make_benchmark
+        from repro.suffix import SuffixArrayGst
+
+        bench = make_benchmark(
+            BenchmarkParams.small(n_genes=6, mean_ests_per_gene=6), rng=seed
+        )
+        return SuffixArrayGst.build(bench.collection)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("w,psi", [(6, 15), (4, 4)])
+    def test_matches_build_over_bucket_subsets(self, seed, w, psi):
+        gst = self._gst(seed)
+        whole = gst.flat_forest(min_depth=psi)
+        buckets = [(lo, hi) for _k, lo, hi in gst.bucket_ranges(w)]
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            subset = [r for r in buckets if rng.random() < 0.5]
+            want = gst.flat_forest(min_depth=psi, ranges=subset) if subset else None
+            got = restrict_flat_forest(whole, subset)
+            if want is None:
+                assert got.n_nodes == 0
+                continue
+            for name in _FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            got.validate()
+
+    def test_all_buckets_keep_every_node(self):
+        gst = self._gst(2)
+        whole = gst.flat_forest(min_depth=15)
+        buckets = [(lo, hi) for _k, lo, hi in gst.bucket_ranges(6)]
+        got = restrict_flat_forest(whole, buckets)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), name
+
+    def test_range_edge_inside_a_node_is_rejected(self):
+        gst = self._gst(0)
+        whole = gst.flat_forest(min_depth=15)
+        v = int(np.argmax(whole.rb > whole.lb))
+        cut = int(whole.lb[v]) + 1
+        with pytest.raises(ValueError, match="straddles"):
+            restrict_flat_forest(whole, [(0, cut), (cut, len(gst.lcp))])
 
 
 class TestVectorisedValidate:

@@ -1,5 +1,5 @@
 """Shared-memory arena tests: registry lifecycle, descriptor round-trips,
-forest packing, and — the part that matters operationally — proof that no
+per-slave forests, and — the part that matters operationally — proof that no
 ``/dev/shm`` segment survives a run, whether it completed cleanly, lost a
 slave to an injected crash, or was killed by a KeyboardInterrupt in the
 master.  The fault oracle (clusters identical to the sequential driver)
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import PaceClusterer
+from repro.pairs import VectorPairGenerator
 from repro.parallel import (
     ArenaRegistry,
     FaultPlan,
@@ -30,7 +31,6 @@ from repro.parallel import (
 )
 from repro.sequence import EstCollection
 from repro.suffix import SuffixArrayGst
-from repro.suffix.interval_tree import concat_flat_forests, split_flat_forests
 
 HARD_DEADLINE_S = 120
 
@@ -140,31 +140,45 @@ class TestAttachedGst:
         np.testing.assert_array_equal(text_a, text_b)
         np.testing.assert_array_equal(starts_a, starts_b)
 
-    def test_forest_pack_unpack_round_trip(self, gst):
-        ranges = [(lo, hi) for _k, lo, hi in gst.bucket_ranges(6)]
-        forests = [
-            gst.flat_forest(min_depth=15, lo=lo, hi=hi)
-            for lo, hi in ranges
-            if hi > lo
-        ]
-        packed = concat_flat_forests(forests)
-        rebuilt = split_flat_forests(packed, 15)
-        assert len(rebuilt) == len(forests)
-        for orig, back in zip(forests, rebuilt):
-            assert back.min_depth == orig.min_depth
-            for name in (
-                "depth", "lb", "rb", "parent",
-                "children_flat", "children_offsets",
-                "leaves_flat", "leaves_offsets",
-            ):
-                np.testing.assert_array_equal(
-                    getattr(back, name), getattr(orig, name), err_msg=name
-                )
-            back.validate()
+    def test_attached_forest_equals_local_build(self, gst):
+        # Each slave attaches one forest: the whole-array forest restricted
+        # to its buckets, equal to building those buckets locally.
+        buckets = [(lo, hi) for _k, lo, hi in gst.bucket_ranges(6)]
+        ranges_of = [buckets[0::3], buckets[1::3], buckets[2::3]]
+        shared = GstArenas.create(gst, ranges_of, pair_engine="vector", psi=15)
+        reg = ArenaRegistry()
+        try:
+            for k, ranges in enumerate(ranges_of):
+                _agst, forest = attach_gst(shared.bundle, reg, k)
+                local = gst.flat_forest(min_depth=15, ranges=ranges)
+                assert forest.min_depth == 15
+                for name in (
+                    "depth", "lb", "rb", "parent",
+                    "children_flat", "children_offsets",
+                    "leaves_flat", "leaves_offsets",
+                ):
+                    np.testing.assert_array_equal(
+                        getattr(forest, name), getattr(local, name), err_msg=name
+                    )
+                forest.validate()
+                assert shared.forest_for(k).n_nodes == forest.n_nodes
+        finally:
+            reg.close()
+            shared.dispose()
+        assert leaked_segments() == []
 
-    def test_pack_unpack_empty_forest_list(self):
-        packed = concat_flat_forests([])
-        assert split_flat_forests(packed, 15) == []
+    def test_slave_without_ranges_gets_empty_forest(self, gst):
+        shared = GstArenas.create(gst, [[]], pair_engine="vector", psi=15)
+        reg = ArenaRegistry()
+        try:
+            _agst, forest = attach_gst(shared.bundle, reg, 0)
+            assert forest.n_nodes == 0
+            assert list(
+                VectorPairGenerator(gst, 15, ranges=[], forest=forest).pairs()
+            ) == []
+        finally:
+            reg.close()
+            shared.dispose()
 
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_attached_gst_pairs_match_local(self, gst, small_config, engine):
@@ -177,13 +191,13 @@ class TestAttachedGst:
         )
         reg = ArenaRegistry()
         try:
-            agst, forests = attach_gst(shared.bundle, reg, 0)
+            agst, forest = attach_gst(shared.bundle, reg, 0)
             local = list(
                 make_pair_generator(gst, config, ranges=ranges).pairs()
             )
             attached = list(
                 make_pair_generator(
-                    agst, config, ranges=ranges, forests=forests
+                    agst, config, ranges=ranges, forest=forest
                 ).pairs()
             )
             assert attached == local

@@ -22,8 +22,11 @@ from repro.pairs import (
 )
 from repro.pairs.batch import PAIR_BLOCK_SIZE
 from repro.pairs.sa_generator import REITERATION_ERROR
+from repro.parallel import GstArenas, leaked_segments
+from repro.parallel.partition import assign_buckets
 from repro.sequence import EstCollection
 from repro.suffix import SuffixArrayGst
+from repro.suffix.interval_tree import restrict_flat_forest
 from repro.telemetry import Telemetry
 
 from test_pair_generation import _random_overlapping_collection
@@ -248,3 +251,65 @@ class TestPipelineIntegration:
             got.extend(source.next_batch(7))
         assert got == reference
         assert source.produced == len(reference)
+
+
+class TestOneForestPerOwner:
+    """Every vector-engine owner builds one flat forest over all of its
+    bucket ranges, and each slave's stream is still the scalar engine's
+    over the same ranges."""
+
+    @pytest.fixture(scope="class")
+    def gst(self, small_benchmark):
+        return SuffixArrayGst.build(small_benchmark.collection)
+
+    @pytest.fixture(scope="class")
+    def buckets(self, gst):
+        ranges = gst.bucket_ranges(6)
+        assert sum(1 for _k, lo, hi in ranges if hi > lo) >= 1000
+        return ranges
+
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        import repro.suffix.gst as gst_module
+
+        calls = []
+        real = gst_module.build_flat_forest
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("ranges"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gst_module, "build_flat_forest", counting)
+        return calls
+
+    def test_one_build_per_ranged_generator(self, gst, buckets, build_calls):
+        VectorPairGenerator(gst, 15, ranges=[(lo, hi) for _k, lo, hi in buckets])
+        assert len(build_calls) == 1
+
+    def test_one_build_per_arena_create(self, gst, buckets, build_calls):
+        plan = assign_buckets(buckets, 3)
+        ranges_of = [[(lo, hi) for _k, lo, hi in own] for own in plan.per_processor]
+        shared = GstArenas.create(gst, ranges_of, pair_engine="vector", psi=15)
+        try:
+            assert len(build_calls) == 1
+            assert all(shared.forest_for(k).n_nodes > 0 for k in range(3))
+        finally:
+            shared.dispose()
+        assert leaked_segments() == []
+
+    @pytest.mark.parametrize("n_slaves", [2, 3])
+    def test_lpt_slave_streams_match_scalar(self, gst, buckets, n_slaves):
+        plan = assign_buckets(buckets, n_slaves)
+        whole = gst.flat_forest(min_depth=15)
+        for own in plan.per_processor:
+            ranges = [(lo, hi) for _k, lo, hi in own]
+            scalar = SaPairGenerator(gst, 15, ranges=ranges)
+            expected = list(scalar.pairs())
+            assert expected
+            built = VectorPairGenerator(gst, 15, ranges=ranges)
+            carved = VectorPairGenerator(
+                gst, 15, ranges=ranges, forest=restrict_flat_forest(whole, ranges)
+            )
+            assert list(built.pairs()) == expected
+            assert list(carved.pairs()) == expected
+            assert built.stats == scalar.stats
