@@ -3,7 +3,6 @@
 (Fig. 5b)."""
 
 from repro.align.banded import (
-    BandedWorkspace,
     ExtensionResult,
     extend_overlap,
     extend_overlap_group,
@@ -21,7 +20,6 @@ from repro.align.scoring import (
 )
 
 __all__ = [
-    "BandedWorkspace",
     "ExtensionResult",
     "extend_overlap",
     "extend_overlap_group",

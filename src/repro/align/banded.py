@@ -17,6 +17,12 @@ recurrence of Iy (horizontal affine gaps) is vectorised with the classic
 prefix-max trick: ``Iy[j] = open + (j-1)·ext + max_{k<j}(M[k] - k·ext)``.
 ``dp_cells`` reports the number of in-band cells — the work a C
 implementation pays and the measure the banding ablation sweeps.
+
+:func:`extend_overlap` computes each row at full width and masks it down
+to the band; it is the reference oracle.  :func:`extend_overlap_group` is
+the production kernel: it aligns a group of extensions at once and stores
+only the ``2·band + 1`` in-band cells of each row, with bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from repro.align.scoring import ScoringParams
 __all__ = [
     "extend_overlap",
     "extend_overlap_group",
-    "BandedWorkspace",
     "ExtensionResult",
     "NEG_INF",
 ]
@@ -152,57 +157,15 @@ def _apply_band(m_row, ix_row, iy_row, i: int, band: int, ly: int) -> None:
         iy_row[hi + 1 :] = NEG_INF
 
 
+
+
 # --------------------------------------------------------------------------- #
-# batched group kernel
+# batched band-coordinate kernel
 # --------------------------------------------------------------------------- #
 
-
-class BandedWorkspace:
-    """Grow-only scratch buffers shared across :func:`extend_overlap_group`
-    calls.
-
-    A batch aligner runs the group kernel thousands of times per clustering;
-    each call needs six DP state rows plus padding/scratch planes sized to
-    the group.  The workspace allocates once at the high-water mark and hands
-    out views, so steady-state groups touch no allocator at all.  ``reuses``
-    and ``grows`` feed the ``align.buffer_reuse`` telemetry counter.
-    """
-
-    def __init__(self) -> None:
-        self._g = 0
-        self._lx = 0
-        self._w = 0
-        self._rows: np.ndarray | None = None  # (6, g, w) float64 DP states
-        self._scratch: np.ndarray | None = None  # (4, g, w) float64
-        self._outb: np.ndarray | None = None  # (g, w) bool band mask
-        self._eq: np.ndarray | None = None  # (g, w) bool char equality
-        self._xpad: np.ndarray | None = None  # (g, lx) int8
-        self._ypad: np.ndarray | None = None  # (g, w) int8
-        #: Calls served without reallocating / calls that had to grow.
-        self.reuses = 0
-        self.grows = 0
-
-    def acquire(self, g: int, max_lx: int, max_ly: int) -> bool:
-        """Ensure capacity for a (g, max_lx, max_ly) group.
-
-        Returns True when the existing buffers were large enough (a reuse),
-        False when they had to grow.
-        """
-        w = max_ly + 1
-        if self._rows is None or g > self._g or max_lx > self._lx or w > self._w:
-            self._g = max(g, self._g)
-            self._lx = max(max_lx, self._lx)
-            self._w = max(w, self._w)
-            self._rows = np.empty((6, self._g, self._w))
-            self._scratch = np.empty((4, self._g, self._w))
-            self._outb = np.empty((self._g, self._w), dtype=bool)
-            self._eq = np.empty((self._g, self._w), dtype=bool)
-            self._xpad = np.empty((self._g, self._lx), dtype=np.int8)
-            self._ypad = np.empty((self._g, self._w), dtype=np.int8)
-            self.grows += 1
-            return False
-        self.reuses += 1
-        return True
+#: DP rows whose substitution scores are built in one go: bounds the
+#: ``(rows, g, W)`` scratch plane while amortising its construction.
+SUB_CHUNK_ROWS = 64
 
 
 def extend_overlap_group(
@@ -210,19 +173,37 @@ def extend_overlap_group(
     ys: Sequence[np.ndarray],
     bands: np.ndarray,
     params: ScoringParams,
-    *,
-    workspace: BandedWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised :func:`extend_overlap` over a group of extensions.
 
-    Runs the identical recurrence for all group members at once, one 2-D
-    numpy sweep per DP row: member ``g`` occupies plane row ``g``, padded to
-    the group maxima with sentinels (``-1`` in x, ``-2`` in y) that never
-    match each other or a real nucleotide code, so padded columns score as
-    mismatches and — because information only flows rightwards/downwards in
-    the recurrence — never contaminate a real cell.  Every floating-point
-    operation is performed in the same order per cell as the scalar kernel,
-    so results are bit-identical (the batch aligner's oracle property).
+    Sweeps only the in-band cells, in *band coordinates*: with ``B`` the
+    widest band of the group and ``W = 2B + 1``, column ``d ∈ [0, 2B]`` of
+    DP row ``i`` stands for ``j = i - B + d``, and member ``k`` occupies
+    plane row ``k``.  Each row costs O(g·W) instead of O(g·ly).  The three
+    moves become: M reads the previous row at the same ``d``, Ix at
+    ``d + 1``, and Iy is the scalar kernel's prefix-max scan, now along
+    ``d``.
+
+    Results are bit-identical to :func:`extend_overlap` (score, consumed
+    x/y and ``dp_cells``) for any :class:`ScoringParams`, because every
+    finite cell is computed by the same float operations from the same
+    finite inputs:
+
+    - the ``j·ge`` and ``go + (j-1)·ge`` terms are taken from absolute
+      ``j`` (a sliding slice of one vector per group), not from ``d``;
+    - invalid cells only ever hold -inf-like values that lose every
+      ``max`` to a finite one: M at ``j ≤ 0`` and ``j > ly`` gets
+      ``NEG_INF`` from the substitution plane, and a member whose band is
+      narrower than ``B`` has Ix and Iy masked outside it (M there then
+      only reads masked cells);
+    - cells at ``j > ly`` may hold finite junk, which is harmless because
+      DP values only flow to larger ``j`` and no candidate end reads them;
+    - ties resolve in the scalar kernel's order: the first row whose
+      ``j = ly`` cell is maximal, then the final row's first argmax,
+      taken only if strictly better.
+
+    Memory stays O(g·W) row state plus an O(lx·g) candidate buffer;
+    substitution scores are built :data:`SUB_CHUNK_ROWS` rows at a time.
 
     All ``xs[k]``/``ys[k]`` must be non-empty (callers shortcut empty
     extensions to ``ExtensionResult(0.0, 0, 0, 0)`` like the scalar path).
@@ -247,120 +228,119 @@ def extend_overlap_group(
     if lxs.min() == 0 or lys.min() == 0:
         raise ValueError("empty extensions must be filtered before grouping")
     max_lx = int(lxs.max())
-    max_ly = int(lys.max())
-    w = max_ly + 1
+    big_b = int(bands.max())
+    w = 2 * big_b + 1
+    ar = np.arange(g)
+    dd = np.arange(w)
 
-    ws = workspace if workspace is not None else BandedWorkspace()
-    ws.acquire(g, max_lx, max_ly)
-
-    xpad = ws._xpad[:g, :max_lx]
-    xpad.fill(-1)
-    ypad = ws._ypad[:g, :max_ly]
-    ypad.fill(-2)
+    # Row i reads y[j - 1] for j = i - B + d, i.e. ypad[k, i - 1 + d] with
+    # y shifted right by B; -2 pads (j <= 0 or j > ly) and -1 pads x rows
+    # past lx.  y beyond j = max_lx + B is never reached.
+    xpad = np.full((g, max_lx), -1, dtype=np.int8)
+    ypad = np.full((g, max_lx + 2 * big_b), -2, dtype=np.int8)
     for k in range(g):
         xpad[k, : lxs[k]] = xs[k]
-        ypad[k, : lys[k]] = ys[k]
+        yk = ys[k][: max_lx + big_b]
+        ypad[k, big_b : big_b + len(yk)] = yk
+    ywin = np.lib.stride_tricks.sliding_window_view(ypad, w, axis=1)
 
     match, mis = params.match, params.mismatch
     go, ge = params.gap_open, params.gap_extend
-    js = np.arange(w, dtype=np.int64)
-    jge = js * ge  # the scalar kernel's ``js * ge`` term
-    jgo = go + (js[1:] - 1) * ge  # its ``go + (js[1:] - 1) * ge`` term
+    # jv[t] = j for row-i column d at t = i + d: the scalar kernel's
+    # ``js * ge`` and ``go + (js - 1) * ge`` terms, on absolute j.
+    jv = np.arange(-big_b, max_lx + big_b + 1, dtype=np.int64)
+    jge = jv * ge
+    jgo = go + (jv - 1) * ge
 
-    m_row = ws._rows[0, :g, :w]
-    ix_row = ws._rows[1, :g, :w]
-    iy_row = ws._rows[2, :g, :w]
-    new_m = ws._rows[3, :g, :w]
-    new_ix = ws._rows[4, :g, :w]
-    new_iy = ws._rows[5, :g, :w]
-    pb = ws._scratch[0, :g, :w]
-    tmp = ws._scratch[1, :g, :w]
-    run = ws._scratch[2, :g, :w]
-    sub = ws._scratch[3, :g, :max_ly]
-    outb = ws._outb[:g, :w]
-    eq = ws._eq[:g, :max_ly]
-
-    def band_mask(i: int) -> None:
-        np.greater(np.abs(i - js)[None, :], bands[:, None], out=outb)
+    # Row state, transposed so every shifted read is a contiguous slice:
+    # plane row d, column k.  Spare row W stays -inf: the previous row's
+    # j = i + B, outside every band, read by Ix at d = 2B.
+    m_row, ix_row, iy_row, new_m, new_ix, new_iy = np.full((6, w + 1, g), NEG_INF)
+    pb = np.empty((w, g))  # max(M, Ix, Iy) of the last finished row
+    tmp = np.empty((w, g))
+    run = np.empty((w, g))
+    # Per-row (W, 1) columns of the j terms: row i reads jv[i : i + W].
+    jge_rows = np.lib.stride_tricks.sliding_window_view(jge, w)[:, :, None]
+    jgo_rows = np.lib.stride_tricks.sliding_window_view(jgo[1:], w - 1)[:, :, None]
+    # Narrower members' bands: min() with +inf keeps a cell, with -inf
+    # clears it (exact, and cheaper than a masked copy).
+    mixed = bool(bands.min() != big_b)
+    outb = np.abs(dd - big_b)[:, None] > bands[None, :]
+    cap = np.where(outb, NEG_INF, np.inf)
 
     # Row 0: only leading gaps in x (consuming y) are possible.
-    m_row.fill(NEG_INF)
-    ix_row.fill(NEG_INF)
-    iy_row.fill(NEG_INF)
-    m_row[:, 0] = 0.0
-    iy_row[:, 1:] = jgo
-    band_mask(0)
-    np.copyto(m_row, NEG_INF, where=outb)
-    np.copyto(iy_row, NEG_INF, where=outb)
+    m_row[big_b] = 0.0
+    iy_row[big_b + 1 : w] = jgo[big_b + 1 : w, None]
+    if mixed:
+        np.minimum(iy_row[:w], cap, out=iy_row[:w])
+    np.maximum(m_row[:w], iy_row[:w], out=pb)
 
-    ar = np.arange(g)
-    best = np.full(g, NEG_INF)
-    best_i = np.zeros(g, dtype=np.int64)
-    best_j = np.zeros(g, dtype=np.int64)
+    # Each row's j = ly cell (the scalar kernel's last-column candidate),
+    # gathered only over rows where some member's j = ly is in the window.
+    cand = np.full((max_lx + 1, g), NEG_INF)
+    r_lo = max(0, int(lys.min()) - big_b)
+    r_hi = min(max_lx, int(lys.max()) + big_b)
+    rows = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+    gidx = np.clip(lys[None, :] - rows[:, None] + big_b, 0, w - 1) * g + ar
+    # Each member's final row (i = lx), kept when its sweep drains.
+    final = np.full((w, g), NEG_INF)
+    ends = {int(l): np.nonzero(lxs == l)[0] for l in np.unique(lxs)}
+    if r_lo == 0:
+        np.take(pb, gidx[0], out=cand[0])
 
-    def column_candidates(i: int) -> None:
-        # The scalar kernel's per-row last-column (j = ly) check, with the
-        # same strict-> update so tie-breaks resolve identically.
-        sel = (lxs >= i) & (np.abs(i - lys) <= bands)
-        if not sel.any():
-            return
-        col = np.maximum(
-            np.maximum(m_row[ar, lys], ix_row[ar, lys]), iy_row[ar, lys]
-        )
-        upd = sel & (col > best)
-        best[upd] = col[upd]
-        best_i[upd] = i
-        best_j[upd] = lys[upd]
-
-    def final_row_candidates(i: int) -> None:
-        # The scalar kernel's after-loop full-row argmax, run for exactly
-        # the members whose x drains at row i, after that row's column
-        # candidate (matching the scalar check order).
-        idx = np.nonzero(lxs == i)[0]
-        if idx.size == 0:
-            return
-        fin = np.maximum(np.maximum(m_row[idx], ix_row[idx]), iy_row[idx])
-        np.copyto(fin, NEG_INF, where=js[None, :] > lys[idx, None])
-        jb = np.argmax(fin, axis=1)
-        cand = fin[np.arange(idx.size), jb]
-        upd = cand > best[idx]
-        uidx = idx[upd]
-        best[uidx] = cand[upd]
-        best_i[uidx] = i
-        best_j[uidx] = jb[upd]
-
-    column_candidates(0)
-
+    sub = None
     for i in range(1, max_lx + 1):
-        np.equal(xpad[:, i - 1 : i], ypad, out=eq)
-        sub.fill(mis)
-        np.copyto(sub, match, where=eq)
-        np.maximum(m_row, ix_row, out=pb)
-        np.maximum(pb, iy_row, out=pb)
-        new_m.fill(NEG_INF)
-        np.add(pb[:, :-1], sub, out=new_m[:, 1:])
-        np.maximum(m_row, iy_row, out=tmp)
+        r = (i - 1) % SUB_CHUNK_ROWS
+        if r == 0:
+            i1 = min(max_lx, i - 1 + SUB_CHUNK_ROWS)
+            win = ywin[:, i - 1 : i1].transpose(1, 2, 0)
+            eq = np.empty(win.shape, dtype=bool)
+            np.equal(win, xpad[:, i - 1 : i1].T[:, None, :], out=eq)
+            sub = np.where(eq, match, mis)
+            np.equal(win, -2, out=eq)
+            np.copyto(sub, NEG_INF, where=eq)
+        np.add(pb, sub[r], out=new_m[:w])
+        np.maximum(m_row[1:], iy_row[1:], out=tmp)
         tmp += go
-        np.add(ix_row, ge, out=new_ix)
-        np.maximum(new_ix, tmp, out=new_ix)
-        # Band mask before the horizontal scan so out-of-band cells cannot
-        # feed in-band gap runs (new_iy is all -inf at this point).
-        band_mask(i)
-        np.copyto(new_m, NEG_INF, where=outb)
-        np.copyto(new_ix, NEG_INF, where=outb)
-        np.maximum(new_m, new_ix, out=run)
-        run -= jge
-        np.maximum.accumulate(run, axis=1, out=run)
-        new_iy.fill(NEG_INF)
-        np.add(jgo, run[:, :-1], out=new_iy[:, 1:])
-        np.copyto(new_iy, NEG_INF, where=outb)
+        np.add(ix_row[1:], ge, out=new_ix[:w])
+        np.maximum(new_ix[:w], tmp, out=new_ix[:w])
+        if mixed:
+            np.minimum(new_ix[:w], cap, out=new_ix[:w])
+        np.maximum(new_m[:w], new_ix[:w], out=pb)
+        np.subtract(pb, jge_rows[i], out=run)
+        np.maximum.accumulate(run, axis=0, out=run)
+        np.add(jgo_rows[i], run[:-1], out=new_iy[1:w])
+        if mixed:
+            np.minimum(new_iy[:w], cap, out=new_iy[:w])
+        np.maximum(pb, new_iy[:w], out=pb)
 
         m_row, new_m = new_m, m_row
         ix_row, new_ix = new_ix, ix_row
         iy_row, new_iy = new_iy, iy_row
 
-        column_candidates(i)
-        final_row_candidates(i)
+        if r_lo <= i <= r_hi:
+            np.take(pb, gidx[i - r_lo], out=cand[i])
+        idx = ends.get(i)
+        if idx is not None:
+            final[:, idx] = pb[:, idx]
+
+    # Last-column candidates: rows 0..lx within the member's band; the
+    # first maximal row wins, as with the scalar kernel's strict-> scan.
+    all_rows = np.arange(max_lx + 1, dtype=np.int64)[:, None]
+    cand[(all_rows > lxs) | (np.abs(all_rows - lys) > bands)] = NEG_INF
+    best_i = np.argmax(cand, axis=0)
+    best = cand[best_i, ar]
+    best_j = lys.copy()
+    # Final-row candidates (all of x consumed), taken only when strictly
+    # better, at the first maximal j.
+    jf = lxs[None, :] - big_b + dd[:, None]
+    final[outb | (jf < 0) | (jf > lys[None, :])] = NEG_INF
+    d_best = np.argmax(final, axis=0)
+    fin = final[d_best, ar]
+    upd = fin > best
+    best[upd] = fin[upd]
+    best_i[upd] = lxs[upd]
+    best_j[upd] = jf[d_best, ar][upd]
 
     # A band narrower than |lx - ly| excludes every valid end; mirror the
     # scalar kernel's pessimistic pure-gap fallback.

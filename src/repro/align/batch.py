@@ -12,9 +12,8 @@ allocations per extension, it
 - sorts the extensions by shape so similarly-sized ones land in the same
   group (padding waste stays low);
 - runs each group through :func:`~repro.align.banded.extend_overlap_group`,
-  one 2-D numpy sweep per DP row instead of a Python-level loop per pair;
-- reuses one grow-only :class:`~repro.align.banded.BandedWorkspace` across
-  all groups of the run, so steady state allocates nothing.
+  one 2-D numpy sweep per DP row over only the ``2·band + 1`` in-band
+  cells, instead of a Python-level loop per pair over full-width rows.
 
 The group kernel performs bitwise-identical float arithmetic to the scalar
 kernel, so a :class:`BatchPairAligner` returns exactly the
@@ -34,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.align.banded import BandedWorkspace, extend_overlap_group
+from repro.align.banded import extend_overlap_group
 from repro.align.extend import BAND_WIDTH_BUCKETS, BandPolicy, PairAligner
 from repro.align.overlaps import classify_pattern
 from repro.align.scoring import AcceptanceCriteria, AlignmentResult, ScoringParams
@@ -57,9 +56,9 @@ class BatchPairAligner(PairAligner):
     """Vectorised batch aligner, result-identical to :class:`PairAligner`.
 
     ``group_size`` bounds how many extensions share one 2-D DP sweep; the
-    sweep is padded to the widest member, so groups of shape-sorted
-    extensions keep the padding overhead small while amortising numpy
-    dispatch over the whole group.
+    sweep runs as many rows as the longest member and as wide as the
+    widest band, so groups of shape-sorted extensions keep the padding
+    overhead small while amortising numpy dispatch over the whole group.
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class BatchPairAligner(PairAligner):
         )
         check_positive("group_size", group_size)
         self.group_size = group_size
-        self.workspace = BandedWorkspace()
 
     # ------------------------------------------------------------------ #
 
@@ -146,11 +144,9 @@ class BatchPairAligner(PairAligner):
                     jobs.append((len(ex), len(ey), slot, ex, ey, band))
 
         # Shape-sort (descending) so same-sized extensions group together
-        # and the first — widest — group sets the workspace high-water
-        # mark, letting every later group reuse the buffers.  The slot
-        # makes keys unique before the (uncomparable) array elements.
+        # and each group sweeps few rows past its shorter members.  The
+        # slot makes keys unique before the (uncomparable) array elements.
         jobs.sort(key=lambda job: (-job[0], -job[1], job[2]))
-        reuses_before = self.workspace.reuses
         for start in range(0, len(jobs), self.group_size):
             chunk = jobs[start : start + self.group_size]
             scores, cxs, cys, cells = extend_overlap_group(
@@ -158,7 +154,6 @@ class BatchPairAligner(PairAligner):
                 [job[4] for job in chunk],
                 np.fromiter((job[5] for job in chunk), np.int64, count=len(chunk)),
                 params,
-                workspace=self.workspace,
             )
             for t, job in enumerate(chunk):
                 ext[job[2]] = (
@@ -167,10 +162,6 @@ class BatchPairAligner(PairAligner):
                     int(cys[t]),
                     int(cells[t]),
                 )
-        if self.telemetry is not None:
-            reused = self.workspace.reuses - reuses_before
-            if reused:
-                self.telemetry.count("align.buffer_reuse", reused)
 
         out: list[tuple[AlignmentResult, bool]] = []
         n_accepted = 0

@@ -82,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--w", type=int, default=8, help="bucket window (default 8)")
     c.add_argument("--psi", type=int, default=25, help="pair threshold ψ (default 25)")
     c.add_argument("--batchsize", type=int, default=60)
-    c.add_argument("--align-batch", type=int, default=0, metavar="G",
-                   help="vectorised alignment group size "
-                        "(0 = per-pair reference engine)")
+    c.add_argument("--align-batch", type=int, default=64, metavar="G",
+                   help="vectorised alignment group size (default 64); "
+                        "0 runs the per-pair oracle loop (same clusters, "
+                        "several times slower)")
     c.add_argument("--pair-engine", choices=("scalar", "vector"),
                    default="vector",
                    help="promising-pair generation engine: 'vector' "
@@ -246,6 +247,27 @@ def _read_assignments(path: Path) -> dict[str, str]:
     return out
 
 
+def _cluster_config(args: argparse.Namespace) -> ClusteringConfig:
+    """The configuration a ``cluster`` command line asks for (raises
+    ``ValueError`` when an option value is invalid)."""
+    return ClusteringConfig(
+        w=args.w,
+        psi=args.psi,
+        batchsize=args.batchsize,
+        align_batch=args.align_batch,
+        pair_engine=args.pair_engine,
+        shared_arenas=not args.no_shared_arenas,
+        dispatch_policy=args.dispatch_policy,
+        master_shards=args.master_shards,
+        shard_sync_interval=args.shard_sync_interval,
+        causal_tracing=args.causal_trace,
+        flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
+        acceptance=AcceptanceCriteria(
+            min_score_ratio=args.min_ratio, min_overlap=args.min_overlap
+        ),
+    )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.obs_out is not None:
         # One directory, one run id, every sink: the fan-out keeps the
@@ -264,26 +286,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "--telemetry-out FILE (or use --obs-out DIR)"
         )
     try:
+        config = _cluster_config(args)
+    except ValueError as exc:
+        # A bad option value: one line and exit 2, as argparse does.
+        print(f"pace-est cluster: {exc}", file=sys.stderr)
+        return 2
+    try:
         records = read_fasta(args.fasta)
         collection = EstCollection.from_records(records)
     except ValueError as exc:
         raise SystemExit(f"{args.fasta}: {exc}") from None
-    config = ClusteringConfig(
-        w=args.w,
-        psi=args.psi,
-        batchsize=args.batchsize,
-        align_batch=args.align_batch,
-        pair_engine=args.pair_engine,
-        shared_arenas=not args.no_shared_arenas,
-        dispatch_policy=args.dispatch_policy,
-        master_shards=args.master_shards,
-        shard_sync_interval=args.shard_sync_interval,
-        causal_tracing=args.causal_trace,
-        flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
-        acceptance=AcceptanceCriteria(
-            min_score_ratio=args.min_ratio, min_overlap=args.min_overlap
-        ),
-    )
     telemetry = Telemetry() if args.telemetry_out else None
     monitor = None
     if args.monitor_port is not None or args.live_out is not None:

@@ -39,10 +39,12 @@ class ClusteringConfig:
     #: quality-equivalent at EST error rates, see benchmarks/bench_engines).
     align_engine: str = "banded"
     #: DP group size for the batched alignment engine
-    #: (:class:`repro.align.batch.BatchPairAligner`): extensions are aligned
-    #: in vectorised groups of up to this many.  ``0`` keeps the per-pair
-    #: reference engine.
-    align_batch: int = 0
+    #: (:class:`repro.align.batch.BatchPairAligner`, the default): pairs
+    #: are aligned a batch at a time, their extensions in vectorised
+    #: band-coordinate groups of up to this many.  ``0`` selects the
+    #: per-pair oracle loop (:class:`repro.align.extend.PairAligner` over
+    #: the full-width scalar kernel) — same partition, several times slower.
+    align_batch: int = 64
     #: Promising-pair generation engine over the suffix-array backend:
     #: "vector" (:class:`repro.pairs.batch.VectorPairGenerator`, the
     #: default: depth-batched numpy sweeps over flat lset arenas) or

@@ -9,13 +9,15 @@ that property down, with hypothesis driving random collections, random
 (possibly bogus-seeded) pair batches, and random group sizes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import (
-    BandedWorkspace,
+    BandPolicy,
     BatchPairAligner,
     PairAligner,
     ScoringParams,
@@ -23,9 +25,16 @@ from repro.align import (
     extend_overlap_group,
     make_aligner,
 )
+from repro.cluster.greedy import greedy_cluster
+from repro.cluster.manager import ClusterManager
+from repro.core import PaceClusterer
 from repro.core.config import ClusteringConfig
+from repro.pairs.batch import make_pair_generator
 from repro.pairs.pair import Pair
+from repro.parallel import cluster_multiprocessing, simulate_clustering
 from repro.sequence import EstCollection
+from repro.suffix import SuffixArrayGst
+from repro.simulate import BenchmarkParams, make_benchmark
 from repro.telemetry import Telemetry
 
 dna = st.text(alphabet="ACGT", min_size=5, max_size=60)
@@ -54,27 +63,118 @@ def collection_and_batch(draw):
     return col, pairs
 
 
+def _assert_group_matches_scalar(xs, ys, bands, params):
+    scores, cx, cy, cells = extend_overlap_group(xs, ys, bands, params)
+    for k in range(len(xs)):
+        ref = extend_overlap(xs[k], ys[k], params, int(bands[k]))
+        got = (float(scores[k]), int(cx[k]), int(cy[k]), int(cells[k]))
+        assert got == tuple(ref), (k, len(xs[k]), len(ys[k]), int(bands[k]))
+
+
+@st.composite
+def scoring_params(draw):
+    """Random non-integer affine scoring: no float shortcut survives."""
+    pos = st.floats(0.05, 6.0, allow_nan=False, allow_infinity=False)
+    return ScoringParams(
+        match=draw(pos),
+        mismatch=-draw(pos),
+        gap_open=-draw(pos),
+        gap_extend=-draw(pos),
+    )
+
+
+@st.composite
+def extension_group(draw):
+    """A group of extensions with mixed bands: related pairs (y an edited
+    copy of x), unrelated pairs, bands narrower than ``|lx - ly|`` (the
+    pessimistic fallback) and ``ly`` far beyond ``lx + band``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = draw(st.integers(1, 6))
+    xs, ys, bands = [], [], []
+    for _ in range(g):
+        shape = draw(st.sampled_from(["related", "random", "narrow", "long_y"]))
+        band = draw(st.integers(0, 40))
+        lx = draw(st.integers(1, 600))
+        if shape == "narrow":
+            ly = max(1, min(600, lx + draw(st.sampled_from([-1, 1])) * (band + 1 + draw(st.integers(0, 50)))))
+        elif shape == "long_y":
+            lx = draw(st.integers(1, 200))
+            ly = min(600, lx + band + draw(st.integers(1, 400)))
+        else:
+            ly = draw(st.integers(1, 600))
+        x = rng.integers(0, 4, lx).astype(np.int8)
+        if shape == "random":
+            y = rng.integers(0, 4, ly).astype(np.int8)
+        else:
+            y = np.resize(x, ly).copy()
+            y[rng.random(ly) < 0.03] = rng.integers(0, 4)
+        xs.append(x)
+        ys.append(y)
+        bands.append(band)
+    return xs, ys, np.array(bands, dtype=np.int64)
+
+
 class TestGroupKernel:
     def test_matches_scalar_kernel_bitwise(self):
         rng = np.random.default_rng(11)
         params = ScoringParams()
-        ws = BandedWorkspace()
         for _ in range(50):
             g = int(rng.integers(1, 24))
             xs = [rng.integers(0, 4, rng.integers(1, 90)).astype(np.int8) for _ in range(g)]
             ys = [rng.integers(0, 4, rng.integers(1, 90)).astype(np.int8) for _ in range(g)]
             bands = rng.integers(0, 16, g)
-            scores, cx, cy, cells = extend_overlap_group(
-                xs, ys, bands, params, workspace=ws
+            _assert_group_matches_scalar(xs, ys, bands, params)
+
+    @settings(deadline=None, max_examples=60)
+    @given(extension_group(), scoring_params())
+    def test_band_kernel_equals_scalar_under_any_scoring(self, group, params):
+        xs, ys, bands = group
+        _assert_group_matches_scalar(xs, ys, bands, params)
+
+    def test_fallback_and_long_y_edges(self):
+        params = ScoringParams(match=1.3, mismatch=-2.7, gap_open=-4.1, gap_extend=-0.9)
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 4, 40).astype(np.int8)
+        y_long = rng.integers(0, 4, 500).astype(np.int8)
+        # band 0 with lx != ly; band << |lx - ly| both ways; ly >> lx + band.
+        xs = [x, x, y_long, x[:3], x]
+        ys = [x[:30], y_long, x, y_long, x[:1]]
+        _assert_group_matches_scalar(xs, ys, np.array([0, 5, 7, 40, 2]), params)
+        for k in range(len(xs)):  # and one member per group
+            _assert_group_matches_scalar(
+                [xs[k]], [ys[k]], np.array([[0, 5, 7, 40, 2][k]]), params
             )
-            for k in range(g):
-                ref = extend_overlap(xs[k], ys[k], params, int(bands[k]))
-                assert (
-                    float(scores[k]),
-                    int(cx[k]),
-                    int(cy[k]),
-                    int(cells[k]),
-                ) == tuple(ref)
+
+    def test_real_550bp_extensions(self, world550):
+        """Every extension of the pairs the default pipeline aligns on a
+        550 bp world, with the default band policy, in shape-sorted groups
+        of 64 exactly as :class:`BatchPairAligner` forms them."""
+        col = world550.collection
+        cfg = ClusteringConfig()
+        policy = BandPolicy()
+        jobs = []
+        for pair in _first_pairs(col, cfg, 40):
+            a = col.string(pair.string_a)
+            b = col.string(pair.string_b)
+            seed = pair.length
+            for ex, ey in (
+                (a[pair.offset_a + seed :], b[pair.offset_b + seed :]),
+                (a[: pair.offset_a][::-1], b[: pair.offset_b][::-1]),
+            ):
+                if len(ex) and len(ey):
+                    jobs.append((ex, ey, policy.band_for(min(len(ex), len(ey)))))
+        assert len(jobs) >= 40
+        assert max(len(ex) for ex, _, _ in jobs) > 400
+        jobs.sort(key=lambda job: (-len(job[0]), -len(job[1])))
+        params = cfg.scoring
+        for start in range(0, len(jobs), 64):
+            chunk = jobs[start : start + 64]
+            _assert_group_matches_scalar(
+                [j[0] for j in chunk],
+                [j[1] for j in chunk],
+                np.array([j[2] for j in chunk]),
+                params,
+            )
 
     def test_empty_group(self):
         scores, cx, cy, cells = extend_overlap_group([], [], [], ScoringParams())
@@ -90,14 +190,24 @@ class TestGroupKernel:
         with pytest.raises(ValueError):
             extend_overlap_group([a, a], [a], [3, 3], params)
 
-    def test_workspace_reuses_buffers(self):
-        ws = BandedWorkspace()
-        params = ScoringParams()
-        a = np.array([0, 1, 2, 3] * 10, dtype=np.int8)
-        extend_overlap_group([a], [a], [5], params, workspace=ws)
-        assert ws.grows == 1 and ws.reuses == 0
-        extend_overlap_group([a[:7]], [a[:9]], [5], params, workspace=ws)
-        assert ws.grows == 1 and ws.reuses == 1
+
+@pytest.fixture(scope="module")
+def world550():
+    """A small simulator world at the paper's read length (550 bp)."""
+    return make_benchmark(BenchmarkParams(n_genes=4, mean_ests_per_gene=6), rng=3)
+
+
+def _pair_stream(col, cfg):
+    return make_pair_generator(SuffixArrayGst.build(col), cfg).pairs()
+
+
+def _first_pairs(col, cfg, n):
+    pairs = []
+    for pair in _pair_stream(col, cfg):
+        pairs.append(pair)
+        if len(pairs) >= n:
+            break
+    return pairs
 
 
 class TestBatchAlignerEquivalence:
@@ -181,13 +291,15 @@ class TestTelemetryParity:
         bat_hists = tel_bat.registry.snapshot()["histograms"]
         assert ref_hists["align.band_width"] == bat_hists["align.band_width"]
         assert "align.batch_size" in bat_hists
-        assert bat_counters.get("align.buffer_reuse", 0) >= 1
 
 
 class TestMakeAligner:
     def test_selects_engine_from_config(self):
         col = EstCollection.from_strings(["ACGTACGTAC", "TGCATGCATG"])
-        per_pair = make_aligner(col, ClusteringConfig())
+        default = make_aligner(col, ClusteringConfig())
+        assert type(default) is BatchPairAligner
+        assert default.group_size == 64
+        per_pair = make_aligner(col, ClusteringConfig(align_batch=0))
         assert type(per_pair) is PairAligner
         batched = make_aligner(col, ClusteringConfig(align_batch=32))
         assert isinstance(batched, BatchPairAligner)
@@ -196,3 +308,31 @@ class TestMakeAligner:
     def test_config_rejects_negative_group(self):
         with pytest.raises(ValueError):
             ClusteringConfig(align_batch=-1)
+
+
+class TestDefaultPartitionAt550bp:
+    """The default (batched band kernel) partition equals the per-pair
+    ``greedy_cluster`` + :class:`PairAligner` oracle on every engine."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, world550):
+        col = world550.collection
+        cfg = ClusteringConfig(align_batch=0)
+        manager = ClusterManager(col.n_ests)
+        greedy_cluster(_pair_stream(col, cfg), PairAligner(col), manager)
+        return manager.clusters()
+
+    def test_sequential(self, world550, oracle):
+        cfg = ClusteringConfig()
+        assert cfg.align_batch == 64
+        assert PaceClusterer(cfg).cluster(world550.collection).clusters == oracle
+        per_pair = PaceClusterer(replace(cfg, align_batch=0))
+        assert per_pair.cluster(world550.collection).clusters == oracle
+
+    def test_simulated(self, world550, oracle):
+        res = simulate_clustering(world550.collection, ClusteringConfig(), n_processors=4)
+        assert res.result.clusters == oracle
+
+    def test_multiprocessing(self, world550, oracle):
+        res = cluster_multiprocessing(world550.collection, ClusteringConfig(), n_processors=3)
+        assert res.clusters == oracle

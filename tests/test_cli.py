@@ -34,6 +34,7 @@ class TestParser:
     def test_cluster_defaults_follow_paper(self):
         args = build_parser().parse_args(["cluster", "x.fa"])
         assert args.w == 8 and args.psi == 25 and args.batchsize == 60
+        assert args.align_batch == 64
 
     def test_machine_choices(self):
         with pytest.raises(SystemExit):
@@ -125,6 +126,32 @@ class TestClusterCommand:
         assert proc.stderr.splitlines() == [
             f"{fa}: record 'est_n7': invalid DNA character 'N' in sequence"
         ]
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--align-batch", "-1"], "align_batch must be >= 0, got -1"),
+            (["--batchsize", "0"], "batchsize must be > 0, got 0"),
+            (["--psi", "4"], "psi (4) must be >= w (8)"),
+        ],
+    )
+    def test_invalid_option_value_is_a_one_line_usage_error(
+        self, tmp_path, option, message
+    ):
+        fa = tmp_path / "ok.fa"
+        fa.write_text(">ok\nACGTACGTACGT\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cluster", str(fa), *option],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pace-est cluster: {message}")
 
 
 class TestEvaluate:
