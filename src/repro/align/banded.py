@@ -202,7 +202,9 @@ def extend_overlap_group(
       ``j = ly`` cell is maximal, then the final row's first argmax,
       taken only if strictly better.
 
-    Memory stays O(g·W) row state plus an O(lx·g) candidate buffer;
+    The sweep stops at row ``max(min(lx, ly + b))``: past ``ly + b`` a
+    member's band holds only ``j > ly``, so no candidate end is left.
+    Memory stays O(g·W) row state plus an O(rows·g) candidate buffer;
     substitution scores are built :data:`SUB_CHUNK_ROWS` rows at a time.
 
     All ``xs[k]``/``ys[k]`` must be non-empty (callers shortcut empty
@@ -232,15 +234,19 @@ def extend_overlap_group(
     w = 2 * big_b + 1
     ar = np.arange(g)
     dd = np.arange(w)
+    # Past row ly + b a member's band holds only j > ly: no candidate end
+    # remains, so the sweep stops at the last row some member still needs.
+    n_rows = int(np.minimum(lxs, lys + bands).max())
 
     # Row i reads y[j - 1] for j = i - B + d, i.e. ypad[k, i - 1 + d] with
     # y shifted right by B; -2 pads (j <= 0 or j > ly) and -1 pads x rows
-    # past lx.  y beyond j = max_lx + B is never reached.
-    xpad = np.full((g, max_lx), -1, dtype=np.int8)
-    ypad = np.full((g, max_lx + 2 * big_b), -2, dtype=np.int8)
+    # past lx.  y beyond j = n_rows + B is never reached.
+    xpad = np.full((g, n_rows), -1, dtype=np.int8)
+    ypad = np.full((g, n_rows + 2 * big_b), -2, dtype=np.int8)
     for k in range(g):
-        xpad[k, : lxs[k]] = xs[k]
-        yk = ys[k][: max_lx + big_b]
+        xk = xs[k][:n_rows]
+        xpad[k, : len(xk)] = xk
+        yk = ys[k][: n_rows + big_b]
         ypad[k, big_b : big_b + len(yk)] = yk
     ywin = np.lib.stride_tricks.sliding_window_view(ypad, w, axis=1)
 
@@ -248,75 +254,85 @@ def extend_overlap_group(
     go, ge = params.gap_open, params.gap_extend
     # jv[t] = j for row-i column d at t = i + d: the scalar kernel's
     # ``js * ge`` and ``go + (js - 1) * ge`` terms, on absolute j.
-    jv = np.arange(-big_b, max_lx + big_b + 1, dtype=np.int64)
+    jv = np.arange(-big_b, n_rows + big_b + 1, dtype=np.int64)
     jge = jv * ge
     jgo = go + (jv - 1) * ge
 
     # Row state, transposed so every shifted read is a contiguous slice:
     # plane row d, column k.  Spare row W stays -inf: the previous row's
-    # j = i + B, outside every band, read by Ix at d = 2B.
-    m_row, ix_row, iy_row, new_m, new_ix, new_iy = np.full((6, w + 1, g), NEG_INF)
+    # j = i + B, outside every band, read by Ix at d = 2B.  Two buffer
+    # sets (previous row, new row) swap each row; each set is held as the
+    # views the sweep reads and writes, built once.
+    state = np.full((2, 3, w + 1, g), NEG_INF)
+    views = [
+        (st[0, :w], st[1, :w], st[2, :w], st[0, 1:], st[1, 1:], st[2, 1:], st[2, 1:w])
+        for st in state
+    ]
     pb = np.empty((w, g))  # max(M, Ix, Iy) of the last finished row
     tmp = np.empty((w, g))
     run = np.empty((w, g))
+    run_head = run[:-1]
     # Per-row (W, 1) columns of the j terms: row i reads jv[i : i + W].
     jge_rows = np.lib.stride_tricks.sliding_window_view(jge, w)[:, :, None]
     jgo_rows = np.lib.stride_tricks.sliding_window_view(jgo[1:], w - 1)[:, :, None]
-    # Narrower members' bands: min() with +inf keeps a cell, with -inf
-    # clears it (exact, and cheaper than a masked copy).
+    # Narrower members' bands.  Ix folds its mask into the gap terms (in
+    # band the same go/ge is added; outside, -inf); Iy takes min() with a
+    # cap of +inf (keep) or -inf (clear).  Both are exact on finite cells.
     mixed = bool(bands.min() != big_b)
     outb = np.abs(dd - big_b)[:, None] > bands[None, :]
     cap = np.where(outb, NEG_INF, np.inf)
+    go_ix = np.where(outb, NEG_INF, go) if mixed else go
+    ge_ix = np.where(outb, NEG_INF, ge) if mixed else ge
 
     # Row 0: only leading gaps in x (consuming y) are possible.
-    m_row[big_b] = 0.0
-    iy_row[big_b + 1 : w] = jgo[big_b + 1 : w, None]
+    m0, _, iy0 = views[0][:3]
+    m0[big_b] = 0.0
+    iy0[big_b + 1 : w] = jgo[big_b + 1 : w, None]
     if mixed:
-        np.minimum(iy_row[:w], cap, out=iy_row[:w])
-    np.maximum(m_row[:w], iy_row[:w], out=pb)
+        np.minimum(iy0, cap, out=iy0)
+    np.maximum(m0, iy0, out=pb)
 
     # Each row's j = ly cell (the scalar kernel's last-column candidate),
     # gathered only over rows where some member's j = ly is in the window.
-    cand = np.full((max_lx + 1, g), NEG_INF)
+    cand = np.full((n_rows + 1, g), NEG_INF)
     r_lo = max(0, int(lys.min()) - big_b)
-    r_hi = min(max_lx, int(lys.max()) + big_b)
+    r_hi = min(n_rows, int(lys.max()) + big_b)
     rows = np.arange(r_lo, r_hi + 1, dtype=np.int64)
     gidx = np.clip(lys[None, :] - rows[:, None] + big_b, 0, w - 1) * g + ar
-    # Each member's final row (i = lx), kept when its sweep drains.
+    # Each member's final row (i = lx), kept when its sweep drains; a
+    # member with lx > n_rows has no valid end there and keeps -inf.
     final = np.full((w, g), NEG_INF)
     ends = {int(l): np.nonzero(lxs == l)[0] for l in np.unique(lxs)}
     if r_lo == 0:
         np.take(pb, gidx[0], out=cand[0])
 
+    prev, cur = views
     sub = None
-    for i in range(1, max_lx + 1):
+    for i in range(1, n_rows + 1):
         r = (i - 1) % SUB_CHUNK_ROWS
         if r == 0:
-            i1 = min(max_lx, i - 1 + SUB_CHUNK_ROWS)
+            i1 = min(n_rows, i - 1 + SUB_CHUNK_ROWS)
             win = ywin[:, i - 1 : i1].transpose(1, 2, 0)
             eq = np.empty(win.shape, dtype=bool)
             np.equal(win, xpad[:, i - 1 : i1].T[:, None, :], out=eq)
             sub = np.where(eq, match, mis)
             np.equal(win, -2, out=eq)
             np.copyto(sub, NEG_INF, where=eq)
-        np.add(pb, sub[r], out=new_m[:w])
-        np.maximum(m_row[1:], iy_row[1:], out=tmp)
-        tmp += go
-        np.add(ix_row[1:], ge, out=new_ix[:w])
-        np.maximum(new_ix[:w], tmp, out=new_ix[:w])
-        if mixed:
-            np.minimum(new_ix[:w], cap, out=new_ix[:w])
-        np.maximum(new_m[:w], new_ix[:w], out=pb)
-        np.subtract(pb, jge_rows[i], out=run)
+        _, _, _, m_up, ix_up, iy_up, _ = prev
+        new_m, new_ix, new_iy, _, _, _, new_iy_tail = cur
+        np.add(pb, sub[r], out=new_m)  # M: previous row, same d
+        np.maximum(m_up, iy_up, out=tmp)  # Ix: previous row, d + 1
+        np.add(tmp, go_ix, out=tmp)
+        np.add(ix_up, ge_ix, out=new_ix)
+        np.maximum(new_ix, tmp, out=new_ix)
+        np.maximum(new_m, new_ix, out=pb)
+        np.subtract(pb, jge_rows[i], out=run)  # Iy: prefix max along d
         np.maximum.accumulate(run, axis=0, out=run)
-        np.add(jgo_rows[i], run[:-1], out=new_iy[1:w])
+        np.add(jgo_rows[i], run_head, out=new_iy_tail)
         if mixed:
-            np.minimum(new_iy[:w], cap, out=new_iy[:w])
-        np.maximum(pb, new_iy[:w], out=pb)
-
-        m_row, new_m = new_m, m_row
-        ix_row, new_ix = new_ix, ix_row
-        iy_row, new_iy = new_iy, iy_row
+            np.minimum(new_iy, cap, out=new_iy)
+        np.maximum(pb, new_iy, out=pb)
+        prev, cur = cur, prev
 
         if r_lo <= i <= r_hi:
             np.take(pb, gidx[i - r_lo], out=cand[i])
@@ -326,7 +342,7 @@ def extend_overlap_group(
 
     # Last-column candidates: rows 0..lx within the member's band; the
     # first maximal row wins, as with the scalar kernel's strict-> scan.
-    all_rows = np.arange(max_lx + 1, dtype=np.int64)[:, None]
+    all_rows = np.arange(n_rows + 1, dtype=np.int64)[:, None]
     cand[(all_rows > lxs) | (np.abs(all_rows - lys) > bands)] = NEG_INF
     best_i = np.argmax(cand, axis=0)
     best = cand[best_i, ar]

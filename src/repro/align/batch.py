@@ -143,10 +143,11 @@ class BatchPairAligner(PairAligner):
                 else:
                     jobs.append((len(ex), len(ey), slot, ex, ey, band))
 
-        # Shape-sort (descending) so same-sized extensions group together
-        # and each group sweeps few rows past its shorter members.  The
-        # slot makes keys unique before the (uncomparable) array elements.
-        jobs.sort(key=lambda job: (-job[0], -job[1], job[2]))
+        # Sort by the rows the kernel sweeps, min(lx, ly + band), then by
+        # band (descending), so each group wastes few rows and columns on
+        # its smaller members.  The slot makes keys unique before the
+        # (uncomparable) array elements.
+        jobs.sort(key=lambda job: (-min(job[0], job[1] + job[5]), -job[5], job[2]))
         for start in range(0, len(jobs), self.group_size):
             chunk = jobs[start : start + self.group_size]
             scores, cxs, cys, cells = extend_overlap_group(
