@@ -304,7 +304,7 @@ def extend_overlap_group(
     final = np.full((w, g), NEG_INF)
     ends = {int(l): np.nonzero(lxs == l)[0] for l in np.unique(lxs)}
     if r_lo == 0:
-        np.take(pb, gidx[0], out=cand[0])
+        pb.take(gidx[0], out=cand[0])
 
     prev, cur = views
     sub = None
@@ -335,7 +335,7 @@ def extend_overlap_group(
         prev, cur = cur, prev
 
         if r_lo <= i <= r_hi:
-            np.take(pb, gidx[i - r_lo], out=cand[i])
+            pb.take(gidx[i - r_lo], out=cand[i])
         idx = ends.get(i)
         if idx is not None:
             final[:, idx] = pb[:, idx]
