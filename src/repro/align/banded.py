@@ -302,7 +302,7 @@ def extend_overlap_group(
     # Each member's final row (i = lx), kept when its sweep drains; a
     # member with lx > n_rows has no valid end there and keeps -inf.
     final = np.full((w, g), NEG_INF)
-    ends = {int(l): np.nonzero(lxs == l)[0] for l in np.unique(lxs)}
+    ends = {int(n): np.nonzero(lxs == n)[0] for n in np.unique(lxs)}
     if r_lo == 0:
         pb.take(gidx[0], out=cand[0])
 

@@ -56,8 +56,8 @@ class BatchPairAligner(PairAligner):
     """Vectorised batch aligner, result-identical to :class:`PairAligner`.
 
     ``group_size`` bounds how many extensions share one 2-D DP sweep; the
-    sweep runs as many rows as the longest member and as wide as the
-    widest band, so groups of shape-sorted extensions keep the padding
+    sweep runs as many rows as the member that needs the most and as wide
+    as the widest band, so groups of shape-sorted extensions keep the padding
     overhead small while amortising numpy dispatch over the whole group.
     """
 

@@ -247,27 +247,6 @@ def _read_assignments(path: Path) -> dict[str, str]:
     return out
 
 
-def _cluster_config(args: argparse.Namespace) -> ClusteringConfig:
-    """The configuration a ``cluster`` command line asks for (raises
-    ``ValueError`` when an option value is invalid)."""
-    return ClusteringConfig(
-        w=args.w,
-        psi=args.psi,
-        batchsize=args.batchsize,
-        align_batch=args.align_batch,
-        pair_engine=args.pair_engine,
-        shared_arenas=not args.no_shared_arenas,
-        dispatch_policy=args.dispatch_policy,
-        master_shards=args.master_shards,
-        shard_sync_interval=args.shard_sync_interval,
-        causal_tracing=args.causal_trace,
-        flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
-        acceptance=AcceptanceCriteria(
-            min_score_ratio=args.min_ratio, min_overlap=args.min_overlap
-        ),
-    )
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.obs_out is not None:
         # One directory, one run id, every sink: the fan-out keeps the
@@ -286,7 +265,22 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "--telemetry-out FILE (or use --obs-out DIR)"
         )
     try:
-        config = _cluster_config(args)
+        config = ClusteringConfig(
+            w=args.w,
+            psi=args.psi,
+            batchsize=args.batchsize,
+            align_batch=args.align_batch,
+            pair_engine=args.pair_engine,
+            shared_arenas=not args.no_shared_arenas,
+            dispatch_policy=args.dispatch_policy,
+            master_shards=args.master_shards,
+            shard_sync_interval=args.shard_sync_interval,
+            causal_tracing=args.causal_trace,
+            flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
+            acceptance=AcceptanceCriteria(
+                min_score_ratio=args.min_ratio, min_overlap=args.min_overlap
+            ),
+        )
     except ValueError as exc:
         # A bad option value: one line and exit 2, as argparse does.
         print(f"pace-est cluster: {exc}", file=sys.stderr)
