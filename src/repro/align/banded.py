@@ -157,8 +157,6 @@ def _apply_band(m_row, ix_row, iy_row, i: int, band: int, ly: int) -> None:
         iy_row[hi + 1 :] = NEG_INF
 
 
-
-
 # --------------------------------------------------------------------------- #
 # batched band-coordinate kernel
 # --------------------------------------------------------------------------- #
@@ -315,7 +313,7 @@ def extend_overlap_group(
             win = ywin[:, i - 1 : i1].transpose(1, 2, 0)
             eq = np.empty(win.shape, dtype=bool)
             np.equal(win, xpad[:, i - 1 : i1].T[:, None, :], out=eq)
-            sub = np.where(eq, match, mis)
+            sub = np.where(eq, float(match), float(mis))
             np.equal(win, -2, out=eq)
             np.copyto(sub, NEG_INF, where=eq)
         _, _, _, m_up, ix_up, iy_up, _ = prev

@@ -144,6 +144,9 @@ class TestGroupKernel:
             _assert_group_matches_scalar(
                 [xs[k]], [ys[k]], np.array([[0, 5, 7, 40, 2][k]]), params
             )
+        # Integer scoring: the substitution plane must still be float.
+        int_params = ScoringParams(match=2, mismatch=-3, gap_open=-5, gap_extend=-2)
+        _assert_group_matches_scalar(xs, ys, np.array([0, 5, 7, 40, 2]), int_params)
 
     def test_real_550bp_extensions(self, world550):
         """Every extension of the pairs the default pipeline aligns on a
