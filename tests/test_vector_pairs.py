@@ -6,6 +6,9 @@ same order within and across depths — with identical `PairGenStats` and
 telemetry counters.  These tests pin that contract down with hypothesis
 driving random overlapping collections (including reverse-complement
 duplicates) across ψ edge values, mirroring tests/test_batch_align.py.
+Repeat-rich collections (tandem repeats, poly-A tails, reverse-complement
+palindromes) repeat ψ-mers inside one string, which is the only way a
+duplicate string reaches a node and is dropped (the mark-array path).
 """
 
 import numpy as np
@@ -34,6 +37,49 @@ from test_pair_generation import _random_overlapping_collection
 seeds = st.integers(0, 10**6)
 
 
+def _repeat_rich_collection(rng: np.random.Generator, n: int, psi: int) -> EstCollection:
+    """Reads off a genome with a tandem repeat of at least ψ plus one unit,
+    some with a poly-A tail or turned into a reverse-complement
+    palindrome; read 0 spans the whole repeat."""
+    unit = rng.integers(0, 4, size=int(rng.integers(1, 7)), dtype=np.uint8)
+    tandem = np.tile(unit, (psi + unit.size) // unit.size + int(rng.integers(1, 4)))
+    flank = [rng.integers(0, 4, size=int(rng.integers(5, 30)), dtype=np.uint8) for _ in "lr"]
+    genome = np.concatenate((flank[0], tandem, flank[1]))
+    t0, t1 = flank[0].size, flank[0].size + tandem.size
+    seqs = [genome[max(0, t0 - 3) : t1 + 3]]
+    for _ in range(n - 1):
+        a = int(rng.integers(0, genome.size - 12))
+        s = genome[a : int(rng.integers(a + 10, genome.size + 1))]
+        kind = rng.random()
+        if kind < 0.3:
+            s = np.concatenate((s, np.zeros(psi + int(rng.integers(1, 8)), dtype=np.uint8)))
+        elif kind < 0.5:
+            s = np.concatenate((s, (3 - s)[::-1]))
+        if rng.random() < 0.5:
+            s = (3 - s)[::-1]
+        seqs.append(s.copy())
+    return EstCollection(seqs)
+
+
+def _has_repeated_kmer(col: EstCollection, k: int) -> bool:
+    """Some string repeats a k-mer at two offsets."""
+    for i in range(col.n_ests):
+        s = col.est(i).tobytes()
+        kmers = [s[o : o + k] for o in range(len(s) - k + 1)]
+        if len(set(kmers)) < len(kmers):
+            return True
+    return False
+
+
+def _collection(seed: int, n: int, psi: int, repeat_rich: bool) -> EstCollection:
+    rng = np.random.default_rng(seed)
+    if not repeat_rich:
+        return _random_overlapping_collection(rng, n)
+    col = _repeat_rich_collection(rng, n, psi)
+    assert _has_repeated_kmer(col, psi)
+    return col
+
+
 def _both_streams(col: EstCollection, psi: int, **vector_kwargs):
     gst = SuffixArrayGst.build(col)
     scalar = SaPairGenerator(gst, psi)
@@ -41,15 +87,31 @@ def _both_streams(col: EstCollection, psi: int, **vector_kwargs):
     return scalar, vector, list(scalar.pairs()), list(vector.pairs())
 
 
+def _assert_engines_agree(gst: SuffixArrayGst, psi: int, ranges=None, **vector_kwargs):
+    """Stream (order included), every PairGenStats field (``_live_entries``
+    too) and the ``pairs.*`` counters of both engines are identical."""
+    runs = []
+    for gen_cls, kwargs in ((SaPairGenerator, {}), (VectorPairGenerator, vector_kwargs)):
+        tel = Telemetry()
+        gen = gen_cls(gst, psi, ranges=ranges, telemetry=tel, **kwargs)
+        pairs = list(gen.pairs())
+        counters = {
+            k: v
+            for k, v in tel.registry.snapshot()["counters"].items()
+            if k.startswith("pairs.")
+        }
+        runs.append((pairs, gen.stats, gen.stats._live_entries, counters))
+    assert runs[0] == runs[1]
+
+
 class TestCrossEngineEquivalence:
-    @given(seeds, st.integers(2, 8), st.integers(4, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_identical_streams_random_collections(self, seed, n, psi):
-        """Same pairs, same order — not just the same set."""
-        rng = np.random.default_rng(seed)
-        col = _random_overlapping_collection(rng, n)
-        _, _, s, v = _both_streams(col, psi)
-        assert s == v
+    @given(seeds, st.integers(2, 8), st.integers(4, 25), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_identical_streams_random_collections(self, seed, n, psi, repeat_rich):
+        """Same pairs, same order — not just the same set — and the same
+        stats and counters, on plain and repeat-rich collections."""
+        col = _collection(seed, n, psi, repeat_rich)
+        _assert_engines_agree(SuffixArrayGst.build(col), psi)
 
     @given(seeds, st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -78,32 +140,31 @@ class TestCrossEngineEquivalence:
             _, _, s, v = _both_streams(col, psi)
             assert s == v
 
-    @given(seeds, st.integers(2, 6), st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_ranges_partition_parity(self, seed, n, parts):
-        """The slave path: generation restricted to rank sub-ranges."""
-        rng = np.random.default_rng(seed)
-        col = _random_overlapping_collection(rng, n)
+    @given(seeds, st.integers(2, 6), st.integers(1, 4), st.integers(4, 25), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_ranges_partition_parity(self, seed, n, parts, psi, repeat_rich):
+        """The slave path: generation restricted to rank sub-ranges, given
+        in shuffled order, as one owner or as one owner per range."""
+        col = _collection(seed, n, psi, repeat_rich)
         gst = SuffixArrayGst.build(col)
+        rng = np.random.default_rng(seed + 1)
         hi = len(gst.sa_struct.sa)
         cuts = sorted({int(c) for c in rng.integers(0, hi + 1, size=parts - 1)})
         bounds = [0, *cuts, hi]
         ranges = list(zip(bounds[:-1], bounds[1:]))
-        s = list(SaPairGenerator(gst, 4, ranges=ranges).pairs())
-        v = list(VectorPairGenerator(gst, 4, ranges=ranges).pairs())
-        assert s == v
+        rng.shuffle(ranges)
+        _assert_engines_agree(gst, psi, ranges=ranges)
+        for lo_hi in ranges:
+            _assert_engines_agree(gst, psi, ranges=[lo_hi])
 
-    @given(seeds, st.integers(2, 7))
-    @settings(max_examples=30, deadline=None)
-    def test_stats_parity(self, seed, n):
-        """All four public PairGenStats counters agree after a full drain
-        (nodes, raw products, emitted pairs, and the peak-lset high-water
-        mark of the paper's space claim)."""
-        rng = np.random.default_rng(seed)
-        col = _random_overlapping_collection(rng, n)
-        scalar, vector, s, v = _both_streams(col, 5)
-        assert s == v
-        assert scalar.stats == vector.stats
+    @given(seeds, st.integers(2, 7), st.integers(4, 25), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_stats_parity(self, seed, n, psi, repeat_rich):
+        """All PairGenStats fields agree after a full drain (nodes, raw
+        products, emitted pairs, the peak-lset high-water mark of the
+        paper's space claim and the live count), chunk size aside."""
+        col = _collection(seed, n, psi, repeat_rich)
+        _assert_engines_agree(SuffixArrayGst.build(col), psi, block_size=1 + seed % 7)
 
     @given(seeds, st.integers(1, 17))
     @settings(max_examples=20, deadline=None)
@@ -112,6 +173,28 @@ class TestCrossEngineEquivalence:
         col = _random_overlapping_collection(rng, 5)
         _, _, s, v = _both_streams(col, 4, block_size=block_size)
         assert s == v
+
+    @pytest.mark.parametrize("ranged", [False, True])
+    def test_progress_advances_with_every_chunk(self, ranged):
+        """``nodes_processed`` is positive from the first chunk on, never
+        decreases, stays within the forest, and ends at the node count and
+        the scalar engine's value."""
+        col = _repeat_rich_collection(np.random.default_rng(5), 12, 8)
+        gst = SuffixArrayGst.build(col)
+        hi = len(gst.sa_struct.sa)
+        ranges = [(hi // 2, hi), (0, hi // 2)] if ranged else None
+        vector = VectorPairGenerator(gst, 8, ranges=ranges, block_size=4)
+        n_nodes = vector._forests[0].n_nodes
+        seen = []
+        for _pair in vector.pairs():
+            seen.append(vector.stats.nodes_processed)
+        assert len(seen) > 8
+        assert 0 < seen[0] <= n_nodes
+        assert seen == sorted(seen)
+        assert len(set(seen)) > 1
+        scalar = SaPairGenerator(gst, 8, ranges=ranges)
+        list(scalar.pairs())
+        assert vector.stats.nodes_processed == n_nodes == scalar.stats.nodes_processed
 
 
 class TestGuards:
